@@ -52,6 +52,7 @@ BasisStats Evaluate(const std::vector<std::vector<double>>& rows,
   for (const auto& query : queries) {
     auto query_spectrum = repr::HalfSpectrum::FromSeriesInBasis(query, basis);
     if (!query_spectrum.ok()) return stats;
+    const repr::QuerySpectrum prepared(*query_spectrum);
     struct Entry {
       uint32_t id;
       double lb;
@@ -60,7 +61,7 @@ BasisStats Evaluate(const std::vector<std::vector<double>>& rows,
     std::vector<Entry> entries;
     double sub = std::numeric_limits<double>::infinity();
     for (uint32_t id = 0; id < rows.size(); ++id) {
-      auto bounds = repr::ComputeBounds(*query_spectrum, compressed[id],
+      auto bounds = repr::ComputeBounds(prepared, compressed[id],
                                         repr::BoundMethod::kBestMinError);
       if (!bounds.ok()) return stats;
       stats.lb_sum += bounds->lower;

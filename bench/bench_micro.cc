@@ -73,8 +73,9 @@ void BM_ComputeBounds(benchmark::State& state) {
   auto target = repr::HalfSpectrum::FromSeries(b);
   auto compressed = repr::CompressedSpectrum::Compress(
       *target, repr::ReprKind::kBestKError, c);
+  const repr::QuerySpectrum prepared(*query);  // Per query, not per object.
   for (auto _ : state) {
-    auto bounds = repr::ComputeBounds(*query, *compressed,
+    auto bounds = repr::ComputeBounds(prepared, *compressed,
                                       repr::BoundMethod::kBestMinError);
     benchmark::DoNotOptimize(bounds);
   }

@@ -45,6 +45,7 @@ double FractionExamined(const std::vector<std::vector<double>>& rows,
   for (const auto& query : queries) {
     auto query_spectrum = repr::HalfSpectrum::FromSeries(query);
     if (!query_spectrum.ok()) return std::nan("");
+    const repr::QuerySpectrum prepared(*query_spectrum);
 
     struct Entry {
       uint32_t id;
@@ -56,7 +57,7 @@ double FractionExamined(const std::vector<std::vector<double>>& rows,
     double sub = std::numeric_limits<double>::infinity();
     for (uint32_t id = 0; id < db_size; ++id) {
       auto bounds =
-          repr::ComputeBounds(*query_spectrum, compressed[id], spec.method);
+          repr::ComputeBounds(prepared, compressed[id], spec.method);
       if (!bounds.ok()) return std::nan("");
       entries.push_back({id, bounds->lower, bounds->upper});
       sub = std::min(sub, bounds->upper);

@@ -1,20 +1,27 @@
-// Streaming-ingestion benchmark: sustained append throughput and the cost
-// a non-empty delta tier adds to queries.
+// Streaming-ingestion benchmark: sustained append cost across corpus sizes
+// and the cost a non-empty delta tier adds to queries.
 //
-//   ./build/bench/bench_stream [--series 1024] [--days 256] [--appends 2000]
+//   ./build/bench/bench_stream [--series 1024,4096,16384] [--days 256]
+//                              [--appends 2000] [--repeats 5]
 //                              [--requests 200] [--k 10] [--delta 64]
 //
 // Two tables:
-//  1. Appends/s across the four maintenance configurations — exact
-//     per-append recompute vs the O(k) incremental path (sliding DFT +
-//     online burst detector), each with and without a WAL (MemEnv-backed,
-//     sync-every-append). The WAL column prices durability; the incremental
-//     column prices the exact/approximate trade documented in DESIGN.md.
+//  1. Per-append cost at every corpus size in `--series` across the four
+//     maintenance configurations — exact per-append recompute vs the O(k)
+//     incremental path (sliding DFT + online burst detector), each with and
+//     without a WAL (MemEnv-backed, sync-every-append). One server per size
+//     and configuration runs `--repeats` consecutive batches of `--appends`
+//     appends; the table gives the median and quartiles over the batches of
+//     wall time and of the appending thread's CPU time per append, which
+//     covers AppendPoint plus the amortized foreground Compact.
 //  2. Query latency with the delta tier holding `--delta` fresh series vs
-//     the same engine right after compaction. The acceptance bar from the
-//     streaming work is a delta/compacted ratio <= 2.0 for every verb; the
-//     table prints that ratio explicitly.
+//     the same engine right after compaction, at the first listed size. The
+//     acceptance bar from the streaming work is a delta/compacted ratio
+//     <= 2.0 for every verb; the table prints that ratio explicitly.
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,15 +51,49 @@ ts::Corpus MakeCorpus(size_t series, size_t days) {
   return std::move(corpus).ValueOrDie();
 }
 
+// CPU time consumed by the calling thread, in seconds.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// Median and quartiles (linear interpolation between order statistics).
+struct Spread {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+};
+
+Spread Quartiles(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  };
+  return Spread{at(0.25), at(0.5), at(0.75)};
+}
+
+bench::Json SpreadJson(const Spread& s) {
+  return bench::Json::Object()
+      .Add("p25", s.p25)
+      .Add("median", s.median)
+      .Add("p75", s.p75);
+}
+
 struct AppendRow {
   const char* config = "";
-  double appends_per_s = 0.0;
-  double avg_us = 0.0;
+  size_t series = 0;
+  Spread wall_us;  // Per append, over the repeats.
+  Spread cpu_us;
   uint64_t compactions = 0;
 };
 
 AppendRow RunAppends(const char* config, size_t series, size_t days,
-                     size_t appends, bool incremental, bool wal) {
+                     size_t appends, size_t repeats, bool incremental,
+                     bool wal) {
   core::S2Engine::Options engine_options;
   engine_options.index.budget_c = 16;
   engine_options.stream.incremental_maintenance = incremental;
@@ -80,29 +121,49 @@ AppendRow RunAppends(const char* config, size_t series, size_t days,
   Rng rng(13);
   AppendRow row;
   row.config = config;
-  bench::Timer timer;
-  for (size_t i = 0; i < appends; ++i) {
-    const auto id = static_cast<ts::SeriesId>(i % series);
-    const Status status = (*server)->AppendPoint(id, rng.Uniform(0.0, 40.0));
-    if (!status.ok()) {
-      std::fprintf(stderr, "append failed: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-    if ((i + 1) % 256 == 0) {
-      const Status compacted = (*server)->Compact();
-      if (!compacted.ok()) {
-        std::fprintf(stderr, "compact failed: %s\n",
-                     compacted.ToString().c_str());
+  row.series = series;
+  std::vector<double> wall_us;
+  std::vector<double> cpu_us;
+  size_t i = 0;
+  for (size_t r = 0; r < repeats; ++r) {
+    bench::Timer timer;
+    const double cpu_start = ThreadCpuSeconds();
+    for (size_t batch_end = i + appends; i < batch_end; ++i) {
+      const auto id = static_cast<ts::SeriesId>(i % series);
+      const Status status = (*server)->AppendPoint(id, rng.Uniform(0.0, 40.0));
+      if (!status.ok()) {
+        std::fprintf(stderr, "append failed: %s\n", status.ToString().c_str());
         std::exit(1);
       }
+      if ((i + 1) % 256 == 0) {
+        const Status compacted = (*server)->Compact();
+        if (!compacted.ok()) {
+          std::fprintf(stderr, "compact failed: %s\n",
+                       compacted.ToString().c_str());
+          std::exit(1);
+        }
+      }
     }
+    const double n = static_cast<double>(appends);
+    cpu_us.push_back((ThreadCpuSeconds() - cpu_start) * 1e6 / n);
+    wall_us.push_back(timer.Seconds() * 1e6 / n);
   }
-  const double elapsed = timer.Seconds();
-  row.appends_per_s =
-      elapsed > 0 ? static_cast<double>(appends) / elapsed : 0.0;
-  row.avg_us = elapsed * 1e6 / static_cast<double>(appends);
+  row.wall_us = Quartiles(std::move(wall_us));
+  row.cpu_us = Quartiles(std::move(cpu_us));
   row.compactions = (*server)->stream_info().compaction_count;
   return row;
+}
+
+std::vector<size_t> ParseSizes(const std::string& list) {
+  std::vector<size_t> sizes;
+  size_t pos = 0;
+  while (pos < list.size()) {
+    size_t comma = list.find(',', pos);
+    if (comma == std::string::npos) comma = list.size();
+    sizes.push_back(static_cast<size_t>(std::stoull(list.substr(pos, comma - pos))));
+    pos = comma + 1;
+  }
+  return sizes;
 }
 
 struct LatencyRow {
@@ -187,22 +248,32 @@ std::vector<LatencyRow> RunDeltaVsCompacted(size_t series, size_t days,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t series = bench::ArgSize(argc, argv, "--series", 1024);
+  const std::string series_list = bench::ArgString(argc, argv, "--series", "1024");
+  const std::vector<size_t> sizes = ParseSizes(series_list);
   const size_t days = bench::ArgSize(argc, argv, "--days", 256);
   const size_t appends = bench::ArgSize(argc, argv, "--appends", 2000);
+  const size_t repeats = bench::ArgSize(argc, argv, "--repeats", 5);
   const size_t requests = bench::ArgSize(argc, argv, "--requests", 200);
   const size_t k = bench::ArgSize(argc, argv, "--k", 10);
   const size_t delta = bench::ArgSize(argc, argv, "--delta", 64);
   const std::string json_path =
       bench::ArgString(argc, argv, "--json", "BENCH_stream.json");
+  if (sizes.empty() || appends == 0 || repeats == 0) {
+    std::fprintf(stderr, "bench_stream: --series, --appends and --repeats "
+                         "must be non-empty and positive\n");
+    return 1;
+  }
+  const size_t series = sizes.front();
 
-  std::printf("bench_stream: series=%zu days=%zu appends=%zu requests=%zu "
-              "k=%zu delta=%zu\n",
-              series, days, appends, requests, k, delta);
+  std::printf("bench_stream: series=%s days=%zu appends=%zu repeats=%zu "
+              "requests=%zu k=%zu delta=%zu\n",
+              series_list.c_str(), days,
+              appends, repeats, requests, k, delta);
 
-  bench::PrintHeader("Sustained append throughput (compact every 256)");
-  std::printf("  %-24s %12s %10s %12s\n", "config", "appends/s", "avg_us",
-              "compactions");
+  bench::PrintHeader(
+      "Per-append cost (compact every 256): median [p25, p75] over repeats");
+  std::printf("  %8s %-16s %26s %26s %12s\n", "series", "config",
+              "wall_us/append", "thread_cpu_us/append", "compactions");
   const struct {
     const char* name;
     bool incremental;
@@ -214,17 +285,22 @@ int main(int argc, char** argv) {
       {"incremental+wal", true, true},
   };
   bench::Json append_rows = bench::Json::Array();
-  for (const auto& config : configs) {
-    const AppendRow row = RunAppends(config.name, series, days, appends,
-                                     config.incremental, config.wal);
-    std::printf("  %-24s %12.1f %10.1f %12llu\n", row.config,
-                row.appends_per_s, row.avg_us,
-                static_cast<unsigned long long>(row.compactions));
-    append_rows.Push(bench::Json::Object()
-                         .Add("config", row.config)
-                         .Add("appends_per_s", row.appends_per_s)
-                         .Add("avg_us", row.avg_us)
-                         .Add("compactions", row.compactions));
+  for (const size_t size : sizes) {
+    for (const auto& config : configs) {
+      const AppendRow row = RunAppends(config.name, size, days, appends,
+                                       repeats, config.incremental, config.wal);
+      std::printf("  %8zu %-16s %8.1f [%7.1f, %7.1f] %8.1f [%7.1f, %7.1f] %12llu\n",
+                  row.series, row.config, row.wall_us.median, row.wall_us.p25,
+                  row.wall_us.p75, row.cpu_us.median, row.cpu_us.p25,
+                  row.cpu_us.p75,
+                  static_cast<unsigned long long>(row.compactions));
+      append_rows.Push(bench::Json::Object()
+                           .Add("series", static_cast<uint64_t>(row.series))
+                           .Add("config", row.config)
+                           .Add("wall_us", SpreadJson(row.wall_us))
+                           .Add("thread_cpu_us", SpreadJson(row.cpu_us))
+                           .Add("compactions", row.compactions));
+    }
   }
 
   bench::PrintHeader("Query latency: delta tier populated vs compacted");
@@ -251,13 +327,15 @@ int main(int argc, char** argv) {
       bench::Json::Object()
           .Add("bench", "bench_stream")
           .Add("spec", bench::Json::Object()
-                           .Add("series", static_cast<uint64_t>(series))
+                           .Add("series", series_list.c_str())
                            .Add("days", static_cast<uint64_t>(days))
                            .Add("appends", static_cast<uint64_t>(appends))
+                           .Add("repeats", static_cast<uint64_t>(repeats))
                            .Add("requests", static_cast<uint64_t>(requests))
                            .Add("k", static_cast<uint64_t>(k))
                            .Add("delta", static_cast<uint64_t>(delta)))
-          .Add("append_throughput", std::move(append_rows))
+          .Add("append_cost", std::move(append_rows))
+          .Add("delta_vs_compacted_series", static_cast<uint64_t>(series))
           .Add("delta_vs_compacted", std::move(latency_rows))
           .Add("within_2x_bar", bench::Json::String(within_bar ? "PASS"
                                                                : "FAIL")));

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "burst/burst_detector.h"
@@ -46,12 +48,12 @@ class BurstTable {
   BurstTable& operator=(const BurstTable&) = delete;
   // Hand-written moves: the atomic scan counter is not movable by default.
   // Moving is not thread-safe (single-owner operation, like Insert).
-  BurstTable(BurstTable&& other) noexcept
-      : records_(std::move(other.records_)),
-        start_index_(std::move(other.start_index_)),
-        last_scanned_(other.last_scanned_.load(std::memory_order_relaxed)) {}
+  BurstTable(BurstTable&& other) noexcept { *this = std::move(other); }
   BurstTable& operator=(BurstTable&& other) noexcept {
     records_ = std::move(other.records_);
+    next_slot_ = std::move(other.next_slot_);
+    series_head_ = std::move(other.series_head_);
+    free_head_ = std::exchange(other.free_head_, kNoSlot);
     start_index_ = std::move(other.start_index_);
     last_scanned_.store(other.last_scanned_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -60,19 +62,23 @@ class BurstTable {
 
   /// Inserts the burst triplets of one sequence. `offset` shifts
   /// region-local positions into absolute day indices (pass the series'
-  /// `start_day`).
+  /// `start_day`). Records reuse the slots `EraseSeries` freed. Series ids
+  /// index a dense per-series array, so they should be small integers (the
+  /// engine's corpus indices); `kInvalidSeriesId` is rejected.
   void Insert(ts::SeriesId series_id, const std::vector<BurstRegion>& regions,
               int32_t offset);
 
   /// Drops every record of one sequence (the streaming append path replaces
   /// a series' bursts after its window slides). Returns the number of
-  /// records removed. Rebuilds the start-date index: its values are heap
-  /// indices, which shift when records are compacted out. Not thread-safe
-  /// against concurrent queries (single-owner operation, like Insert).
+  /// records removed. Touches only that sequence's own records: each goes
+  /// from the start-date index by its (start, slot) pair and its slot joins
+  /// the free list. Not thread-safe against concurrent queries
+  /// (single-owner operation, like Insert).
   size_t EraseSeries(ts::SeriesId series_id);
 
   /// All records overlapping `[query.start, query.end]`, via the start-date
-  /// index.
+  /// index, in ascending start date; records with equal start dates come in
+  /// the order they were inserted (slot reuse does not reorder them).
   std::vector<BurstRecord> FindOverlapping(const BurstRegion& query) const;
 
   /// Query-by-burst: ranks sequences by `BSim` against the query's burst
@@ -84,15 +90,12 @@ class BurstTable {
                                        size_t k,
                                        ts::SeriesId exclude = ts::kInvalidSeriesId) const;
 
-  /// Number of stored burst records.
-  size_t size() const { return records_.size(); }
+  /// Number of stored (live) burst records.
+  size_t size() const { return start_index_.size(); }
 
-  /// Bytes of the record heap (the paper's "significantly less storage
+  /// Bytes of the live records (the paper's "significantly less storage
   /// space" claim: 4 numbers per burst instead of the full sequence).
-  size_t StorageBytes() const { return records_.size() * sizeof(BurstRecord); }
-
-  /// Access to all records (diagnostics/tests).
-  const std::vector<BurstRecord>& records() const { return records_; }
+  size_t StorageBytes() const { return size() * sizeof(BurstRecord); }
 
   /// Scan statistics of the last FindOverlapping/QueryByBurst call:
   /// records touched by the index scan before the endDate filter. Under
@@ -102,11 +105,13 @@ class BurstTable {
     return last_scanned_.load(std::memory_order_relaxed);
   }
 
-  /// Structural self-check: every record has a valid series id and
-  /// `start <= end` with a finite average; the start-date index and the
-  /// record heap agree exactly (one entry per record, key == start, scan
-  /// keys non-decreasing), including the B+-tree's own `Validate()`.
-  /// Reports the exact violations as `Status::Corruption`.
+  /// Structural self-check: every slot is on exactly one list, either the
+  /// free list (carrying no series id) or the list of the series it holds;
+  /// every live record has `start <= end` with a finite average; the
+  /// start-date index and the live records agree exactly (one entry per
+  /// live slot and none for a free one, key == start, scan keys
+  /// non-decreasing), including the B+-tree's own `Validate()`. Reports the
+  /// exact violations as `Status::Corruption`.
   Status Validate() const;
 
  private:
@@ -117,9 +122,17 @@ class BurstTable {
   std::vector<BurstRecord> FindOverlappingCounted(const BurstRegion& query,
                                                   size_t* scanned) const;
 
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+  // Record heap. A free slot holds series_id == kInvalidSeriesId.
   std::vector<BurstRecord> records_;
-  // startDate -> record index. The B+-tree provides the ordered range scan
-  // the SQL plan needs.
+  // Per slot, the next slot on the same list: the slots of one series are
+  // chained from series_head_[id], the free slots from free_head_.
+  std::vector<uint32_t> next_slot_;
+  std::vector<uint32_t> series_head_;
+  uint32_t free_head_ = kNoSlot;
+  // startDate -> slot. The B+-tree provides the ordered range scan the SQL
+  // plan needs; equal start dates keep their insertion order.
   storage::BPlusTree<int32_t, uint32_t> start_index_;
   mutable std::atomic<size_t> last_scanned_ = 0;
 };

@@ -96,6 +96,7 @@ Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
   if (options_.use_compressed_upper_bounds) {
     S2_ASSIGN_OR_RETURN(repr::HalfSpectrum spectrum,
                         repr::HalfSpectrum::FromSeries(query));
+    const repr::QuerySpectrum prepared(spectrum);  // |Q_k| once per query.
     for (ts::SeriesId id = 0; id < features_.size(); ++id) {
       const repr::BoundMethod method =
           repr::MethodCompatibleWith(repr::BoundMethod::kBestMinError,
@@ -103,7 +104,7 @@ Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
               ? repr::BoundMethod::kBestMinError
               : repr::BoundMethod::kWang;
       S2_ASSIGN_OR_RETURN(repr::DistanceBounds bounds,
-                          repr::ComputeBounds(spectrum, features_[id], method));
+                          repr::ComputeBounds(prepared, features_[id], method));
       ++stats->upper_bounds_computed;
       order.push_back({id, bounds.upper});
       seed.Offer(id, bounds.upper);

@@ -205,7 +205,7 @@ Result<MvpTreeIndex> MvpTreeIndex::Build(const std::vector<std::vector<double>>&
                       static_cast<uint32_t>(length));
 }
 
-void MvpTreeIndex::SearchNode(int32_t node_id, const repr::HalfSpectrum& query,
+void MvpTreeIndex::SearchNode(int32_t node_id, const repr::QuerySpectrum& query,
                               std::vector<Candidate>* candidates,
                               BestList* upper_bounds, SearchStats* stats) const {
   if (node_id < 0) return;
@@ -282,7 +282,9 @@ Result<std::vector<MvpTreeIndex::Candidate>> MvpTreeIndex::CollectCandidates(
                       repr::HalfSpectrum::FromSeriesInBasis(query, options_.basis));
   std::vector<Candidate> candidates;
   BestList upper_bounds(k);
-  SearchNode(root_, spectrum, &candidates, &upper_bounds, stats);
+  // |Q_k| once per search, not once per bounded object.
+  const repr::QuerySpectrum prepared(spectrum);
+  SearchNode(root_, prepared, &candidates, &upper_bounds, stats);
 
   const double sub = upper_bounds.Threshold();
   std::erase_if(candidates, [sub](const Candidate& c) { return c.lower > sub; });

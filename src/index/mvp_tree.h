@@ -105,7 +105,7 @@ class MvpTreeIndex {
         num_objects_(num_objects),
         series_length_(series_length) {}
 
-  void SearchNode(int32_t node_id, const repr::HalfSpectrum& query,
+  void SearchNode(int32_t node_id, const repr::QuerySpectrum& query,
                   std::vector<Candidate>* candidates, BestList* upper_bounds,
                   SearchStats* stats) const;
 

@@ -203,7 +203,7 @@ Result<VpTreeIndex> VpTreeIndex::CreateEmpty(const Options& options,
   return VpTreeIndex(options, {}, /*root=*/-1, /*num_objects=*/0, series_length);
 }
 
-void VpTreeIndex::SearchNode(int32_t node_id, const repr::HalfSpectrum& query,
+void VpTreeIndex::SearchNode(int32_t node_id, const repr::QuerySpectrum& query,
                              std::vector<Candidate>* candidates,
                              BestList* upper_bounds, SearchStats* stats,
                              SharedRadius* shared) const {
@@ -297,7 +297,9 @@ Result<std::vector<VpTreeIndex::Candidate>> VpTreeIndex::CollectCandidates(
                       repr::HalfSpectrum::FromSeriesInBasis(query, options_.basis));
   std::vector<Candidate> candidates;
   BestList upper_bounds(k);
-  SearchNode(root_, spectrum, &candidates, &upper_bounds, stats, shared);
+  // |Q_k| once per search, not once per bounded object.
+  const repr::QuerySpectrum prepared(spectrum);
+  SearchNode(root_, prepared, &candidates, &upper_bounds, stats, shared);
 
   // SUB filter: no object whose lower bound exceeds the k-th smallest upper
   // bound can be a k-nearest neighbor — and under scatter-gather, none

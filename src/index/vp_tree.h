@@ -214,7 +214,7 @@ class VpTreeIndex {
         num_objects_(num_objects),
         series_length_(series_length) {}
 
-  void SearchNode(int32_t node_id, const repr::HalfSpectrum& query,
+  void SearchNode(int32_t node_id, const repr::QuerySpectrum& query,
                   std::vector<Candidate>* candidates, BestList* upper_bounds,
                   SearchStats* stats, SharedRadius* shared) const;
 

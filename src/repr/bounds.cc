@@ -28,8 +28,9 @@ struct Accumulated {
   std::vector<std::pair<double, double>> omitted;  // (|Q_k|, m_k)
 };
 
-Accumulated Accumulate(const HalfSpectrum& query, const CompressedSpectrum& object,
-                       bool collect_omitted) {
+Accumulated Accumulate(const QuerySpectrum& prepared,
+                       const CompressedSpectrum& object, bool collect_omitted) {
+  const HalfSpectrum& query = prepared.spectrum();
   Accumulated acc;
   const double min_power = object.min_power();
   const std::vector<uint32_t>& kept = object.positions();
@@ -42,7 +43,7 @@ Accumulated Accumulate(const HalfSpectrum& query, const CompressedSpectrum& obje
       ++next_kept;
       continue;
     }
-    const double q_mag = std::abs(query.coeff(k));
+    const double q_mag = prepared.magnitude(k);
     acc.q_err_all += m * q_mag * q_mag;
     if (std::isfinite(min_power)) {
       acc.ub_per_coeff += m * Sq(q_mag + min_power);
@@ -118,6 +119,11 @@ double WaterfillUpperSq(const std::vector<std::pair<double, double>>& omitted,
 
 }  // namespace
 
+QuerySpectrum::QuerySpectrum(const HalfSpectrum& spectrum) : spectrum_(spectrum) {
+  magnitudes_.reserve(spectrum.num_bins());
+  for (const Complex& c : spectrum.coeffs()) magnitudes_.push_back(std::abs(c));
+}
+
 std::string_view BoundMethodToString(BoundMethod method) {
   switch (method) {
     case BoundMethod::kGemini:
@@ -160,10 +166,11 @@ bool MethodCompatibleWith(BoundMethod method, ReprKind kind) {
   return false;
 }
 
-Result<DistanceBounds> ComputeBounds(const HalfSpectrum& query,
+Result<DistanceBounds> ComputeBounds(const QuerySpectrum& query,
                                      const CompressedSpectrum& object,
                                      BoundMethod method) {
-  if (query.n() != object.n() || query.basis() != object.basis()) {
+  if (query.spectrum().n() != object.n() ||
+      query.spectrum().basis() != object.basis()) {
     return Status::InvalidArgument("ComputeBounds: shape or basis mismatch");
   }
   if (!MethodCompatibleWith(method, object.kind())) {

@@ -2,6 +2,7 @@
 #define S2_REPR_BOUNDS_H_
 
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "repr/compressed.h"
@@ -59,10 +60,29 @@ std::string_view BoundMethodToString(BoundMethod method);
 /// min-based methods require a best-k representation.
 bool MethodCompatibleWith(BoundMethod method, ReprKind kind);
 
+/// A query spectrum prepared for bounding many objects: the magnitudes
+/// |Q_k| that every method reads on the bins an object omits are taken once
+/// here instead of once per bounded object. Built implicitly from the
+/// spectrum, which it references and must not outlive; a search prepares
+/// one per query and bounds every object against it.
+class QuerySpectrum {
+ public:
+  QuerySpectrum(const HalfSpectrum& spectrum);
+  QuerySpectrum(HalfSpectrum&&) = delete;  // Would reference a temporary.
+
+  const HalfSpectrum& spectrum() const { return spectrum_; }
+  /// |Q_k|, the magnitude of bin `k`.
+  double magnitude(size_t k) const { return magnitudes_[k]; }
+
+ private:
+  const HalfSpectrum& spectrum_;
+  std::vector<double> magnitudes_;
+};
+
 /// Computes the distance bracket between the full `query` spectrum and the
 /// compressed `object`. Returns InvalidArgument when lengths differ or the
 /// method is incompatible with the object's representation kind.
-Result<DistanceBounds> ComputeBounds(const HalfSpectrum& query,
+Result<DistanceBounds> ComputeBounds(const QuerySpectrum& query,
                                      const CompressedSpectrum& object,
                                      BoundMethod method);
 

@@ -53,15 +53,20 @@ Result<RequestTicket> Scheduler::Submit(const QueryRequest& request) {
     if (rejected_ != nullptr) rejected_->Increment();
     return Status::Unavailable("Scheduler: shut down");
   }
-  // Optimistically claim a slot in the admission window.
-  if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-      options_.queue_capacity) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (rejected_ != nullptr) rejected_->Increment();
-    return Status::Unavailable("Scheduler: queue full (" +
-                               std::to_string(options_.queue_capacity) +
-                               " in flight)");
-  }
+  // Claim a slot in the admission window. The compare-exchange never raises
+  // in_flight_ while the window is full, so in_flight() never reads past
+  // queue_capacity, not even for a submitter that is about to be rejected.
+  size_t claimed = in_flight_.load(std::memory_order_relaxed);
+  do {
+    if (claimed >= options_.queue_capacity) {
+      if (rejected_ != nullptr) rejected_->Increment();
+      return Status::Unavailable("Scheduler: queue full (" +
+                                 std::to_string(options_.queue_capacity) +
+                                 " in flight)");
+    }
+  } while (!in_flight_.compare_exchange_weak(claimed, claimed + 1,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed));
   if (accepted_ != nullptr) accepted_->Increment();
   if (kind_counters_[static_cast<size_t>(request.kind)] != nullptr) {
     kind_counters_[static_cast<size_t>(request.kind)]->Increment();

@@ -1,12 +1,20 @@
 #include "burst/burst_table.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 
 namespace s2::burst {
+
+struct BurstTableTestPeer {
+  static size_t HeapSlots(const BurstTable& table) { return table.records_.size(); }
+};
+
 namespace {
 
 BurstRegion R(int32_t start, int32_t end, double avg) { return {start, end, avg}; }
@@ -22,9 +30,11 @@ TEST(BurstTableTest, InsertWithOffsetShiftsDates) {
   BurstTable table;
   table.Insert(3, {R(10, 20, 1.5)}, 1000);
   ASSERT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.records()[0].start, 1010);
-  EXPECT_EQ(table.records()[0].end, 1020);
-  EXPECT_EQ(table.records()[0].series_id, 3u);
+  const std::vector<BurstRecord> records = table.FindOverlapping(R(0, 2000, 1.0));
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].start, 1010);
+  EXPECT_EQ(records[0].end, 1020);
+  EXPECT_EQ(records[0].series_id, 3u);
 }
 
 TEST(BurstTableTest, FindOverlappingMatchesSqlPredicate) {
@@ -143,6 +153,168 @@ TEST(BurstTableTest, ScanStatisticsExposed) {
   table.FindOverlapping(R(0, 50, 1.0));
   // The index scan stops at startDate <= 50: only ~6 records touched.
   EXPECT_LE(table.last_scanned(), 7u);
+}
+
+
+// The naive burst table the in-place erase must reproduce: records in
+// insertion order, a stable erase, answers computed by full scans.
+class ReferenceTable {
+ public:
+  void Insert(ts::SeriesId id, const std::vector<BurstRegion>& regions) {
+    for (const BurstRegion& r : regions) {
+      records_.push_back(BurstRecord{id, r.start, r.end, r.avg_value});
+    }
+  }
+
+  size_t EraseSeries(ts::SeriesId id) {
+    return std::erase_if(records_,
+                         [id](const BurstRecord& r) { return r.series_id == id; });
+  }
+
+  size_t size() const { return records_.size(); }
+
+  // Ascending start date; equal start dates in insertion order.
+  std::vector<BurstRecord> FindOverlapping(const BurstRegion& q) const {
+    std::vector<BurstRecord> out;
+    for (const BurstRecord& r : records_) {
+      if (r.start <= q.end && r.end >= q.start) out.push_back(r);
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const BurstRecord& a, const BurstRecord& b) {
+                       return a.start < b.start;
+                     });
+    return out;
+  }
+
+  std::vector<BurstMatch> QueryByBurst(const std::vector<BurstRegion>& query,
+                                       size_t k, ts::SeriesId exclude) const {
+    std::map<ts::SeriesId, double> scores;
+    for (const BurstRegion& q : query) {
+      for (const BurstRecord& r : FindOverlapping(q)) {
+        if (r.series_id == exclude) continue;
+        const double intersect = Intersect(q, r.region());
+        if (intersect == 0.0) continue;
+        scores[r.series_id] += intersect * ValueSimilarity(q, r.region());
+      }
+    }
+    std::vector<BurstMatch> out;
+    for (const auto& [id, score] : scores) out.push_back({id, score});
+    std::sort(out.begin(), out.end(), [](const BurstMatch& a, const BurstMatch& b) {
+      if (a.bsim != b.bsim) return a.bsim > b.bsim;
+      return a.series_id < b.series_id;
+    });
+    if (k > 0 && out.size() > k) out.resize(k);
+    return out;
+  }
+
+ private:
+  std::vector<BurstRecord> records_;
+};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+std::vector<BurstRegion> RandomRegions(Rng* rng, int max_count) {
+  std::vector<BurstRegion> regions;
+  const int n = static_cast<int>(rng->UniformInt(0, max_count));
+  for (int b = 0; b < n; ++b) {
+    // A narrow start range makes equal start dates common.
+    const int32_t start = static_cast<int32_t>(rng->UniformInt(0, 120));
+    const int32_t len = static_cast<int32_t>(rng->UniformInt(1, 30));
+    regions.push_back(R(start, start + len - 1, rng->Uniform(0.5, 4.0)));
+  }
+  return regions;
+}
+
+void ExpectSameAnswers(const BurstTable& table, const ReferenceTable& ref,
+                       Rng* rng, int step) {
+  ASSERT_EQ(table.size(), ref.size()) << "step " << step;
+  EXPECT_EQ(table.StorageBytes(), ref.size() * sizeof(BurstRecord)) << "step " << step;
+  ASSERT_TRUE(table.Validate().ok())
+      << "step " << step << ": " << table.Validate().ToString();
+
+  const int32_t qs = static_cast<int32_t>(rng->UniformInt(-10, 150));
+  const BurstRegion query = R(qs, qs + static_cast<int32_t>(rng->UniformInt(0, 40)), 2.0);
+  const std::vector<BurstRecord> got = table.FindOverlapping(query);
+  const std::vector<BurstRecord> want = ref.FindOverlapping(query);
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].series_id, want[i].series_id) << "step " << step << " #" << i;
+    EXPECT_EQ(got[i].start, want[i].start) << "step " << step << " #" << i;
+    EXPECT_EQ(got[i].end, want[i].end) << "step " << step << " #" << i;
+    EXPECT_TRUE(SameBits(got[i].avg_value, want[i].avg_value))
+        << "step " << step << " #" << i;
+  }
+
+  const std::vector<BurstRegion> bursts = RandomRegions(rng, 4);
+  const ts::SeriesId exclude = static_cast<ts::SeriesId>(rng->UniformInt(0, 199));
+  const std::vector<BurstMatch> got_matches = table.QueryByBurst(bursts, 0, exclude);
+  const std::vector<BurstMatch> want_matches = ref.QueryByBurst(bursts, 0, exclude);
+  ASSERT_EQ(got_matches.size(), want_matches.size()) << "step " << step;
+  for (size_t i = 0; i < got_matches.size(); ++i) {
+    EXPECT_EQ(got_matches[i].series_id, want_matches[i].series_id)
+        << "step " << step << " #" << i;
+    EXPECT_TRUE(SameBits(got_matches[i].bsim, want_matches[i].bsim))
+        << "step " << step << " #" << i;
+  }
+}
+
+TEST(BurstTableTest, EraseSeriesMatchesNaiveReferenceOverSeededSchedule) {
+  constexpr ts::SeriesId kSeries = 200;
+  Rng rng(16);
+  BurstTable table;
+  ReferenceTable ref;
+  size_t peak_live = 0;
+  for (ts::SeriesId id = 0; id < kSeries; ++id) {
+    const std::vector<BurstRegion> regions = RandomRegions(&rng, 3);
+    table.Insert(id, regions, 0);
+    ref.Insert(id, regions);
+  }
+  peak_live = ref.size();
+  ExpectSameAnswers(table, ref, &rng, -1);
+
+  for (int step = 0; step < 400; ++step) {
+    // Erase one series (sometimes unknown to the table), then re-insert a
+    // fresh set of bursts for it, as an append does.
+    const ts::SeriesId id = static_cast<ts::SeriesId>(rng.UniformInt(0, kSeries + 9));
+    EXPECT_EQ(table.EraseSeries(id), ref.EraseSeries(id)) << "step " << step;
+    ExpectSameAnswers(table, ref, &rng, step);
+    if (id < kSeries) {
+      const std::vector<BurstRegion> regions = RandomRegions(&rng, 3);
+      table.Insert(id, regions, 0);
+      ref.Insert(id, regions);
+    }
+    peak_live = std::max(peak_live, ref.size());
+    EXPECT_LE(BurstTableTestPeer::HeapSlots(table), peak_live) << "step " << step;
+    ExpectSameAnswers(table, ref, &rng, step);
+  }
+}
+
+TEST(BurstTableTest, EraseOfUnknownOrBurstFreeSeriesIsANoOp) {
+  BurstTable table;
+  EXPECT_EQ(table.EraseSeries(0), 0u);  // Empty table.
+  table.Insert(0, {R(10, 20, 1.0)}, 0);
+  table.Insert(1, {}, 0);  // Burst-free series.
+  EXPECT_EQ(table.EraseSeries(1), 0u);
+  EXPECT_EQ(table.EraseSeries(5), 0u);  // Never inserted.
+  EXPECT_EQ(table.EraseSeries(ts::kInvalidSeriesId), 0u);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.EraseSeries(0), 1u);
+  EXPECT_EQ(table.EraseSeries(0), 0u);  // Already erased.
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.StorageBytes(), 0u);
+  EXPECT_TRUE(table.FindOverlapping(R(0, 100, 1.0)).empty());
+  EXPECT_TRUE(table.Validate().ok());
+}
+
+TEST(BurstTableTest, FreedSlotsAreReused) {
+  BurstTable table;
+  table.Insert(0, {R(10, 20, 1.0), R(30, 40, 1.0)}, 0);
+  table.Insert(1, {R(12, 22, 1.0)}, 0);
+  ASSERT_EQ(table.EraseSeries(0), 2u);
+  table.Insert(2, {R(50, 60, 1.0), R(70, 80, 1.0)}, 0);
+  EXPECT_EQ(BurstTableTestPeer::HeapSlots(table), 3u);
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_TRUE(table.Validate().ok());
 }
 
 }  // namespace

@@ -50,9 +50,18 @@ struct MvpTreeTestPeer {
 namespace s2::burst {
 
 struct BurstTableTestPeer {
+  static constexpr uint32_t kNoSlot = BurstTable::kNoSlot;
   static std::vector<BurstRecord>& Records(BurstTable* table) {
     return table->records_;
   }
+  static std::vector<uint32_t>& NextSlot(BurstTable* table) {
+    return table->next_slot_;
+  }
+  static std::vector<uint32_t>& SeriesHead(BurstTable* table) {
+    return table->series_head_;
+  }
+  static uint32_t FreeHead(const BurstTable& table) { return table.free_head_; }
+  static auto& Index(BurstTable* table) { return table->start_index_; }
 };
 
 }  // namespace s2::burst
@@ -351,6 +360,50 @@ TEST(BurstTableValidateTest, IndexDisagreementIsReported) {
   const Status status = table.Validate();
   ASSERT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_NE(status.message().find("start date"), std::string::npos);
+}
+
+TEST(BurstTableValidateTest, IndexedFreeSlotIsReported) {
+  using Peer = burst::BurstTableTestPeer;
+  burst::BurstTable table = BuildBurstTable();
+  ASSERT_GT(table.EraseSeries(7), 0u);
+  ASSERT_TRUE(table.Validate().ok());
+  const uint32_t free_slot = Peer::FreeHead(table);
+  ASSERT_NE(free_slot, Peer::kNoSlot);
+  // Index the freed slot again under the start date it held.
+  Peer::Index(&table).Insert(Peer::Records(&table)[free_slot].start, free_slot);
+  const Status status = table.Validate();
+  ASSERT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("points at free slot"), std::string::npos);
+}
+
+TEST(BurstTableValidateTest, UnlistedLiveSlotIsReported) {
+  using Peer = burst::BurstTableTestPeer;
+  burst::BurstTable table = BuildBurstTable();
+  std::vector<uint32_t>& next = Peer::NextSlot(&table);
+  // Unlink the second slot of the first series holding two or more records.
+  bool unlinked = false;
+  for (const uint32_t head : Peer::SeriesHead(&table)) {
+    if (head != Peer::kNoSlot && next[head] != Peer::kNoSlot) {
+      next[head] = next[next[head]];
+      unlinked = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(unlinked);
+  const Status status = table.Validate();
+  ASSERT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("is on no list"), std::string::npos);
+}
+
+TEST(BurstTableValidateTest, SlotListedUnderAnotherSeriesIsReported) {
+  using Peer = burst::BurstTableTestPeer;
+  burst::BurstTable table = BuildBurstTable();
+  std::vector<uint32_t>& heads = Peer::SeriesHead(&table);
+  std::swap(heads[3], heads[4]);
+  const Status status = table.Validate();
+  ASSERT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("on the list of series 3 holds series 4"),
+            std::string::npos);
 }
 
 }  // namespace

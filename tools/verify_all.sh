@@ -131,7 +131,7 @@ if [ "${1:-}" = "stream" ]; then
     || { echo "FAIL [stream]: build (see ${build_dir}.build.log)" >&2; exit 1; }
   ctest --test-dir "${build_dir}" -L stream --output-on-failure -j "${jobs}" \
     || { echo "FAIL [stream]: stream tests" >&2; exit 1; }
-  "${build_dir}/bench/bench_stream" --series 256 --days 128 --appends 600 \
+  "${build_dir}/bench/bench_stream" --series 256 --days 128 --appends 600 --repeats 1 \
     --requests 60 --delta 32 \
     || { echo "FAIL [stream]: bench_stream" >&2; exit 1; }
   echo "verify_all.sh: stream profile green."
