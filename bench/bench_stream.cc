@@ -7,8 +7,8 @@
 //
 // Two tables:
 //  1. Per-append cost at every corpus size in `--series` across the four
-//     maintenance configurations — exact per-append recompute vs the O(k)
-//     incremental path (sliding DFT + online burst detector), each with and
+//     maintenance configurations — exact per-append recompute vs the O(w)
+//     incremental path (online burst detector), each with and
 //     without a WAL (MemEnv-backed, sync-every-append). One server per size
 //     and configuration runs `--repeats` consecutive batches of `--appends`
 //     appends; the table gives the median and quartiles over the batches of
@@ -18,8 +18,6 @@
 //     the same engine right after compaction, at the first listed size. The
 //     acceptance bar from the streaming work is a delta/compacted ratio
 //     <= 2.0 for every verb; the table prints that ratio explicitly.
-
-#include <time.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -51,43 +49,11 @@ ts::Corpus MakeCorpus(size_t series, size_t days) {
   return std::move(corpus).ValueOrDie();
 }
 
-// CPU time consumed by the calling thread, in seconds.
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-// Median and quartiles (linear interpolation between order statistics).
-struct Spread {
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-};
-
-Spread Quartiles(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  auto at = [&](double q) {
-    const double pos = q * static_cast<double>(values.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, values.size() - 1);
-    return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
-  };
-  return Spread{at(0.25), at(0.5), at(0.75)};
-}
-
-bench::Json SpreadJson(const Spread& s) {
-  return bench::Json::Object()
-      .Add("p25", s.p25)
-      .Add("median", s.median)
-      .Add("p75", s.p75);
-}
-
 struct AppendRow {
   const char* config = "";
   size_t series = 0;
-  Spread wall_us;  // Per append, over the repeats.
-  Spread cpu_us;
+  bench::Spread wall_us;  // Per append, over the repeats.
+  bench::Spread cpu_us;
   uint64_t compactions = 0;
 };
 
@@ -127,7 +93,7 @@ AppendRow RunAppends(const char* config, size_t series, size_t days,
   size_t i = 0;
   for (size_t r = 0; r < repeats; ++r) {
     bench::Timer timer;
-    const double cpu_start = ThreadCpuSeconds();
+    const double cpu_start = bench::ThreadCpuSeconds();
     for (size_t batch_end = i + appends; i < batch_end; ++i) {
       const auto id = static_cast<ts::SeriesId>(i % series);
       const Status status = (*server)->AppendPoint(id, rng.Uniform(0.0, 40.0));
@@ -145,11 +111,11 @@ AppendRow RunAppends(const char* config, size_t series, size_t days,
       }
     }
     const double n = static_cast<double>(appends);
-    cpu_us.push_back((ThreadCpuSeconds() - cpu_start) * 1e6 / n);
+    cpu_us.push_back((bench::ThreadCpuSeconds() - cpu_start) * 1e6 / n);
     wall_us.push_back(timer.Seconds() * 1e6 / n);
   }
-  row.wall_us = Quartiles(std::move(wall_us));
-  row.cpu_us = Quartiles(std::move(cpu_us));
+  row.wall_us = bench::Quartiles(std::move(wall_us));
+  row.cpu_us = bench::Quartiles(std::move(cpu_us));
   row.compactions = (*server)->stream_info().compaction_count;
   return row;
 }
@@ -297,8 +263,8 @@ int main(int argc, char** argv) {
       append_rows.Push(bench::Json::Object()
                            .Add("series", static_cast<uint64_t>(row.series))
                            .Add("config", row.config)
-                           .Add("wall_us", SpreadJson(row.wall_us))
-                           .Add("thread_cpu_us", SpreadJson(row.cpu_us))
+                           .Add("wall_us", bench::SpreadJson(row.wall_us))
+                           .Add("thread_cpu_us", bench::SpreadJson(row.cpu_us))
                            .Add("compactions", row.compactions));
     }
   }

@@ -2,9 +2,12 @@
 #define S2_BENCH_BENCH_UTIL_H_
 
 // Shared helpers for the experiment harnesses: ASCII plotting, small table
-// printers, corpus preparation and wall-clock timing. Each bench binary
+// printers, corpus preparation, wall-clock and thread-CPU timing, and the
+// median [p25, p75] of repeated measurements. Each bench binary
 // reproduces one table/figure of the paper and prints the corresponding
 // rows/series to stdout.
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -128,6 +131,32 @@ class Timer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// CPU time consumed by the calling thread, in seconds.
+inline double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Median and quartiles of repeated measurements.
+struct Spread {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+};
+
+/// Quartiles by linear interpolation between order statistics.
+inline Spread Quartiles(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  };
+  return Spread{at(0.25), at(0.5), at(0.75)};
+}
+
 /// Simple "--flag value" argument lookup with a default.
 inline size_t ArgSize(int argc, char** argv, const std::string& flag, size_t def) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -234,6 +263,10 @@ class Json {
 
 /// Writes `json` to `path` (plus a trailing newline); exits on I/O failure
 /// like every other bench fatal.
+inline Json SpreadJson(const Spread& s) {
+  return Json::Object().Add("p25", s.p25).Add("median", s.median).Add("p75", s.p75);
+}
+
 inline void WriteJsonFile(const std::string& path, const Json& json) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

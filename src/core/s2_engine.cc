@@ -51,16 +51,6 @@ Result<S2Engine> S2Engine::Build(ts::Corpus corpus, const Options& options) {
                       index::VpTreeIndex::Build(engine.standardized_, options.index));
   engine.index_ = std::make_unique<index::VpTreeIndex>(std::move(built));
 
-  // DTW search helper (Section 8 extension), sharing the budget of the
-  // Euclidean index.
-  dtw::DtwKnnSearch::Options dtw_options;
-  dtw_options.window = options.dtw_window;
-  dtw_options.budget_c = options.index.budget_c;
-  S2_ASSIGN_OR_RETURN(dtw::DtwKnnSearch dtw_built,
-                      dtw::DtwKnnSearch::BuildFeatures(engine.standardized_,
-                                                       dtw_options));
-  engine.dtw_search_ = std::make_unique<dtw::DtwKnnSearch>(std::move(dtw_built));
-
   // Verification source: RAM or disk.
   if (options.disk_store_path.empty()) {
     S2_ASSIGN_OR_RETURN(auto source,
@@ -173,15 +163,6 @@ Result<ts::SeriesId> S2Engine::AddSeries(ts::TimeSeries series) {
   std::vector<double> z = dsp::Standardize(series.values);
   S2_ASSIGN_OR_RETURN(ts::SeriesId id, mem_source_->Append(z));
   S2_RETURN_NOT_OK(index_->Insert(id, z, mem_source_));
-  {
-    S2_ASSIGN_OR_RETURN(repr::HalfSpectrum spectrum,
-                        repr::HalfSpectrum::FromSeries(z));
-    S2_ASSIGN_OR_RETURN(repr::CompressedSpectrum feature,
-                        repr::CompressedSpectrum::Compress(
-                            spectrum, repr::ReprKind::kBestKError,
-                            options_.index.budget_c));
-    S2_RETURN_NOT_OK(dtw_search_->AddFeature(std::move(feature)));
-  }
 
   S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> long_regions,
                       long_detector_.Detect(series.values));
@@ -207,7 +188,6 @@ Status S2Engine::AppendPoint(ts::SeriesId id, double value) {
   ts::TimeSeries& series = corpus_.at(id);
 
   // Stage the slid window; nothing is mutated until the fallible steps pass.
-  const double dropped = series.values.front();
   std::vector<double> values(series.values.begin() + 1, series.values.end());
   values.push_back(value);
   std::vector<double> z = dsp::Standardize(values);
@@ -264,8 +244,8 @@ Status S2Engine::AppendPoint(ts::SeriesId id, double value) {
     S2_RETURN_NOT_OK(summary_->Update(id, standardized_[id]));
   }
 
-  // 4. Derived state: DTW feature and burst rows of both horizons.
-  S2_RETURN_NOT_OK(RefreshDerivedState(id, dropped, value));
+  // 4. Derived state: burst rows of both horizons.
+  S2_RETURN_NOT_OK(RefreshDerivedState(id, value));
 
   ++appends_;
 
@@ -328,80 +308,48 @@ Status S2Engine::Unsubscribe(monitor::SubscriptionId id) {
   return registry_.Unsubscribe(id);
 }
 
-Status S2Engine::RefreshDerivedState(ts::SeriesId id, double x_old,
-                                     double x_new) {
+Status S2Engine::RefreshDerivedState(ts::SeriesId id, double x_new) {
   const ts::TimeSeries& series = corpus_.at(id);
-  const std::vector<double>& z = standardized_[id];
-
-  bool feature_done = false;
-  bool bursts_done = false;
   if (options_.stream.incremental_maintenance) {
     auto it = incremental_.find(id);
     if (it == incremental_.end()) {
-      // First append of this series: anchor the accumulators with one exact
-      // pass (FFT for the tracked positions, full scans for the burst MA).
-      // Creation can be infeasible for degenerate geometries (e.g. windows
-      // so short that every bin is retained); those series simply stay on
-      // the exact path below.
-      auto spectrum = repr::HalfSpectrum::FromSeries(z);
-      if (spectrum.ok()) {
-        auto feature = repr::CompressedSpectrum::Compress(
-            *spectrum, repr::ReprKind::kBestKError, options_.index.budget_c);
-        if (feature.ok()) {
-          auto sliding =
-              stream::SlidingSpectrum::Create(series.values, feature->positions());
-          auto long_stream = stream::BurstStream::Create(long_detector_.options(),
-                                                         series.values);
-          auto short_stream = stream::BurstStream::Create(
-              short_detector_.options(), series.values);
-          if (sliding.ok() && long_stream.ok() && short_stream.ok()) {
-            it = incremental_
-                     .emplace(id, IncrementalState{std::move(*sliding),
-                                                   std::move(*long_stream),
-                                                   std::move(*short_stream)})
-                     .first;
-          }
-        }
+      // First append of this series: anchor the accumulators with one full
+      // scan of the window. Creation can be infeasible for degenerate
+      // geometries (windows shorter than the moving average); those series
+      // simply stay on the exact path below.
+      auto long_stream =
+          stream::BurstStream::Create(long_detector_.options(), series.values);
+      auto short_stream =
+          stream::BurstStream::Create(short_detector_.options(), series.values);
+      if (long_stream.ok() && short_stream.ok()) {
+        it = incremental_
+                 .emplace(id, IncrementalState{std::move(*long_stream),
+                                               std::move(*short_stream)})
+                 .first;
       }
     } else {
-      it->second.spectrum.Slide(x_old, x_new);
       it->second.long_bursts.Slide(x_new);
       it->second.short_bursts.Slide(x_new);
     }
     if (it != incremental_.end()) {
-      S2_ASSIGN_OR_RETURN(repr::CompressedSpectrum feature,
-                          it->second.spectrum.ToCompressed());
-      S2_RETURN_NOT_OK(dtw_search_->UpdateFeature(id, std::move(feature)));
-      feature_done = true;
       long_bursts_.EraseSeries(id);
       long_bursts_.Insert(id, it->second.long_bursts.Regions(),
                           series.start_day);
       short_bursts_.EraseSeries(id);
       short_bursts_.Insert(id, it->second.short_bursts.Regions(),
                            series.start_day);
-      bursts_done = true;
+      return Status::OK();
     }
   }
 
-  if (!feature_done) {
-    S2_ASSIGN_OR_RETURN(repr::HalfSpectrum spectrum,
-                        repr::HalfSpectrum::FromSeries(z));
-    S2_ASSIGN_OR_RETURN(repr::CompressedSpectrum feature,
-                        repr::CompressedSpectrum::Compress(
-                            spectrum, repr::ReprKind::kBestKError,
-                            options_.index.budget_c));
-    S2_RETURN_NOT_OK(dtw_search_->UpdateFeature(id, std::move(feature)));
-  }
-  if (!bursts_done) {
-    S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> long_regions,
-                        long_detector_.Detect(series.values));
-    long_bursts_.EraseSeries(id);
-    long_bursts_.Insert(id, long_regions, series.start_day);
-    S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> short_regions,
-                        short_detector_.Detect(series.values));
-    short_bursts_.EraseSeries(id);
-    short_bursts_.Insert(id, short_regions, series.start_day);
-  }
+  S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> long_regions,
+                      long_detector_.Detect(series.values));
+  long_bursts_.EraseSeries(id);
+  long_bursts_.Insert(id, long_regions, series.start_day);
+  S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> short_regions,
+                      short_detector_.Detect(series.values));
+  short_bursts_.EraseSeries(id);
+  short_bursts_.Insert(id, short_regions, series.start_day);
   return Status::OK();
 }
 
@@ -597,28 +545,13 @@ Result<std::vector<index::Neighbor>> S2Engine::SimilarToSeriesExact(
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtwExact(
     ts::SeriesId id, size_t k) const {
   if (id >= corpus_.size()) return Status::NotFound("S2Engine: bad series id");
-  const std::vector<double>& query = standardized_[id];
-  index::BestList best(k);
-  for (ts::SeriesId other = 0; other < standardized_.size(); ++other) {
-    if (other == id) continue;
-    S2_ASSIGN_OR_RETURN(double d,
-                        dtw::DtwDistanceEarlyAbandon(query, standardized_[other],
-                                                     options_.dtw_window,
-                                                     best.Threshold()));
-    best.Offer(other, d);
-  }
-  return std::move(best).Take();
+  return SimilarToDtwStandardizedExact(standardized_[id], k, id);
 }
 
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtw(
     ts::SeriesId id, size_t k, dtw::DtwKnnSearch::SearchStats* stats) const {
   if (id >= corpus_.size()) return Status::NotFound("S2Engine: bad series id");
-  S2_ASSIGN_OR_RETURN(std::vector<index::Neighbor> neighbors,
-                      dtw_search_->Search(standardized_[id], k + 1, source_.get(),
-                                          stats));
-  std::erase_if(neighbors, [id](const index::Neighbor& n) { return n.id == id; });
-  if (neighbors.size() > k) neighbors.resize(k);
-  return neighbors;
+  return SimilarToDtwStandardized(standardized_[id], k, id, stats);
 }
 
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToStandardized(
@@ -640,9 +573,10 @@ Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtwStandardized(
     const std::vector<double>& z, size_t k, ts::SeriesId exclude,
     dtw::DtwKnnSearch::SearchStats* stats, index::SharedRadius* shared) const {
   const bool drop_self = exclude != ts::kInvalidSeriesId;
-  S2_ASSIGN_OR_RETURN(
-      std::vector<index::Neighbor> neighbors,
-      dtw_search_->Search(z, drop_self ? k + 1 : k, source_.get(), stats, shared));
+  S2_ASSIGN_OR_RETURN(std::vector<index::Neighbor> neighbors,
+                      dtw::DtwKnnSearch({options_.dtw_window})
+                          .Search(z, drop_self ? k + 1 : k, standardized_,
+                                  retry_source_, stats, shared));
   if (drop_self) {
     std::erase_if(neighbors,
                   [exclude](const index::Neighbor& n) { return n.id == exclude; });

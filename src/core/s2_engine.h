@@ -21,7 +21,6 @@
 #include "storage/sequence_store.h"
 #include "stream/burst_stream.h"
 #include "stream/delta_index.h"
-#include "stream/sliding_spectrum.h"
 #include "timeseries/time_series.h"
 
 namespace s2::core {
@@ -83,16 +82,15 @@ class S2Engine {
     resilience::RetryPolicy retry;
     /// Streaming ingestion (`AppendPoint`) behavior.
     struct StreamOptions {
-      /// false (default): every append recomputes the touched series'
-      /// features exactly — standardize, FFT + compress, batch burst
-      /// detection — so a streamed engine stays *bitwise* identical to a
-      /// batch rebuild over the same data. true: maintain the DTW feature
-      /// with an O(k) sliding-DFT update (stream::SlidingSpectrum) and the
-      /// burst rows with an incremental moving-average detector
-      /// (stream::BurstStream); results then agree with batch up to
-      /// documented fp-drift tolerances. The delta VP-tree always compresses
-      /// its entries exactly (routing needs the exact rows regardless), so
-      /// Euclidean k-NN answers are unaffected by this flag.
+      /// false (default): every append re-detects the touched series'
+      /// bursts with the batch detector, so a streamed engine stays
+      /// *bitwise* identical to a batch rebuild over the same data. true:
+      /// maintain the burst rows with an incremental moving-average
+      /// detector (stream::BurstStream); burst answers then agree with
+      /// batch up to documented fp-drift tolerances. Everything else — the
+      /// standardized row, the delta VP-tree entry, the summary envelope —
+      /// is recomputed exactly either way, so k-NN answers (Euclidean,
+      /// approximate and DTW) are unaffected by this flag.
       bool incremental_maintenance = false;
     };
     StreamOptions stream;
@@ -147,7 +145,7 @@ class S2Engine {
   /// stays rectangular, so every query verb remains well-defined mid-stream.
   /// The series moves to the delta tier (a small side VP-tree searched
   /// alongside the main index; see stream::DeltaIndex) and all its derived
-  /// state — stored row, DTW feature, burst rows of both horizons — is
+  /// state — stored row, summary envelope, burst rows of both horizons — is
   /// brought current per `Options::StreamOptions`.
   ///
   /// A writer, like `AddSeries`: serialize externally against all readers.
@@ -244,8 +242,10 @@ class S2Engine {
                                                          size_t k) const;
 
   /// k nearest neighbors of an indexed series under *dynamic time warping*
-  /// (Section 8 extension): exact windowed-DTW search accelerated by the
-  /// compressed-representation upper bounds and LB_Keogh. Itself excluded.
+  /// (Section 8 extension): exact windowed-DTW search seeded by the exact
+  /// Euclidean k-th distance and filtered by LB_Keogh (dtw::DtwKnnSearch).
+  /// RAM-resident engines read their standardized rows in place; disk
+  /// engines fetch candidates through the sequence store. Itself excluded.
   Result<std::vector<index::Neighbor>> SimilarToDtw(
       ts::SeriesId id, size_t k,
       dtw::DtwKnnSearch::SearchStats* stats = nullptr) const;
@@ -385,10 +385,10 @@ class S2Engine {
       const std::vector<double>& z, size_t k,
       index::VpTreeIndex::SearchStats* stats, index::SharedRadius* shared) const;
 
-  /// Recomputes/maintains the DTW feature and both horizons' burst rows of
-  /// `id` after its window slid. `x_old` left the front, `x_new` entered
-  /// the back. The corpus row and `standardized_[id]` are already current.
-  Status RefreshDerivedState(ts::SeriesId id, double x_old, double x_new);
+  /// Recomputes/maintains both horizons' burst rows of `id` after its
+  /// window slid; `x_new` entered the back. The corpus row is already
+  /// current.
+  Status RefreshDerivedState(ts::SeriesId id, double x_new);
 
   Options options_;
   ts::Corpus corpus_;
@@ -406,7 +406,6 @@ class S2Engine {
   // summary envelopes over standardized_, slot == series id, kept current
   // by AddSeries/AppendPoint under the build-time-frozen config.
   std::unique_ptr<approx::SummaryIndex> summary_;
-  std::unique_ptr<dtw::DtwKnnSearch> dtw_search_;
   std::unique_ptr<storage::SequenceSource> source_;
   burst::BurstDetector long_detector_;
   burst::BurstDetector short_detector_;
@@ -420,10 +419,9 @@ class S2Engine {
   uint64_t appends_ = 0;
   uint64_t compactions_ = 0;
   // Incremental-maintenance state (only populated when
-  // options_.stream.incremental_maintenance): per-series sliding-DFT and
-  // burst-detector accumulators, created on a series' first append.
+  // options_.stream.incremental_maintenance): per-series burst-detector
+  // accumulators, created on a series' first append.
   struct IncrementalState {
-    stream::SlidingSpectrum spectrum;
     stream::BurstStream long_bursts;
     stream::BurstStream short_bursts;
   };

@@ -32,43 +32,48 @@ Result<double> DtwDistanceEarlyAbandon(const std::vector<double>& a,
 
 Result<double> DtwDistanceEarlyAbandonSq(const std::vector<double>& a,
                                          const std::vector<double>& b,
-                                         size_t window, double abandon_sq) {
+                                         size_t window, double abandon_sq,
+                                         std::vector<double>* scratch) {
   if (a.empty() || a.size() != b.size()) {
     return Status::InvalidArgument("DtwDistance: sequences must be equal, non-empty");
   }
   const size_t n = a.size();
-  const size_t w = window == 0 ? n : std::max<size_t>(window, 1);
+  // Half-width clipped to n-1: a wider band admits no further cell.
+  const size_t w = window == 0 ? n - 1 : std::min(window, n - 1);
+  const size_t width = 2 * w + 1;
 
-  // Rolling rows of the DP matrix; cells outside the band stay +inf.
-  std::vector<double> prev(n, kInf);
-  std::vector<double> curr(n, kInf);
+  // Two band rows in diagonal coordinates: cell t of row i is (i, i-w+t),
+  // so (i-1, j) sits at t+1 and (i-1, j-1) at t of the previous row. Slot
+  // `width` is a +inf sentinel for the up-neighbour of the band's last
+  // cell; slots a row never writes stay +inf, standing for the cells
+  // outside the matrix. The virtual cell (-1, -1) = 0 seeds (0, 0).
+  std::vector<double> local;
+  std::vector<double>& rows = scratch != nullptr ? *scratch : local;
+  rows.assign(2 * (width + 1), kInf);
+  double* prev = rows.data();
+  double* curr = prev + width + 1;
+  prev[w] = 0.0;
 
   for (size_t i = 0; i < n; ++i) {
-    const size_t j_lo = i >= w ? i - w : 0;
-    const size_t j_hi = std::min(n - 1, i + w);
+    const size_t t_lo = i < w ? w - i : 0;
+    const size_t t_hi = std::min(width - 1, n - 1 + w - i);
+    const double ai = a[i];
+    const double* bj = b.data() + (i + t_lo - w);  // b[j] of cell t_lo.
+    double left = kInf;  // Cell (i, j-1), carried in a register.
     double row_min = kInf;
-    for (size_t j = j_lo; j <= j_hi; ++j) {
-      const double cost = Sq(a[i] - b[j]);
-      double best_prev;
-      if (i == 0 && j == 0) {
-        best_prev = 0.0;
-      } else {
-        best_prev = kInf;
-        if (i > 0) best_prev = std::min(best_prev, prev[j]);          // Insertion.
-        if (j > 0) best_prev = std::min(best_prev, curr[j - 1]);      // Deletion.
-        if (i > 0 && j > 0) best_prev = std::min(best_prev, prev[j - 1]);  // Match.
-      }
-      curr[j] = best_prev == kInf ? kInf : best_prev + cost;
-      row_min = std::min(row_min, curr[j]);
+    for (size_t t = t_lo; t <= t_hi; ++t, ++bj) {
+      const double cost = Sq(ai - *bj);
+      left = std::min(std::min(prev[t + 1], prev[t]), left) + cost;
+      curr[t] = left;
+      row_min = std::min(row_min, left);
     }
     if (row_min > abandon_sq) {
       // Every continuation can only grow; report a value above the radius.
       return row_min;
     }
     std::swap(prev, curr);
-    std::fill(curr.begin(), curr.end(), kInf);
   }
-  return prev[n - 1];
+  return prev[w];
 }
 
 Result<Envelope> ComputeEnvelope(const std::vector<double>& q, size_t window) {

@@ -16,12 +16,12 @@ namespace s2::dtw {
 /// where paths may deviate at most `window` steps from the diagonal
 /// (window == 0 means the unconstrained full matrix). Defined for
 /// equal-length sequences, like the rest of the library. Computed with an
-/// O(n * window) rolling-array dynamic program.
+/// O(n * window) band-only dynamic program.
 ///
 /// With squared point costs and the identity path always admissible,
 /// `DtwDistance(a, b, w) <= Euclidean(a, b)` for every window — which is
-/// what lets the Euclidean *upper* bounds of the compressed representations
-/// double as DTW upper bounds (see dtw_search.h).
+/// what lets the exact Euclidean distance seed the DTW search radius (see
+/// dtw_search.h).
 Result<double> DtwDistance(const std::vector<double>& a,
                            const std::vector<double>& b, size_t window);
 
@@ -38,9 +38,16 @@ Result<double> DtwDistanceEarlyAbandon(const std::vector<double>& a,
 /// exactly when it is complete, so callers compare `sq <= radius * radius`
 /// and only sqrt accepted candidates — immune to the sqrt-rounding hazard
 /// described at dsp::SquaredEuclideanEarlyAbandon.
+///
+/// Every variant runs this one dynamic program: two band rows of 2w+1
+/// cells, each cell exactly min(up, up-left, left) + cost, so a complete
+/// result is bit-identical to the full-matrix recurrence. `scratch`, when
+/// non-null, holds the rows between calls (a search reuses one buffer
+/// across its candidates); null allocates them per call.
 Result<double> DtwDistanceEarlyAbandonSq(const std::vector<double>& a,
                                          const std::vector<double>& b,
-                                         size_t window, double abandon_sq);
+                                         size_t window, double abandon_sq,
+                                         std::vector<double>* scratch = nullptr);
 
 /// The Keogh warping envelope of a sequence: for each position i,
 ///   upper[i] = max(q[i-w .. i+w]),  lower[i] = min(q[i-w .. i+w])

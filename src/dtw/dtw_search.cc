@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "dtw/dtw.h"
-#include "repr/half_spectrum.h"
+#include "simd/simd.h"
 
 namespace s2::dtw {
 
@@ -13,122 +13,50 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-Result<DtwKnnSearch> DtwKnnSearch::Create(
-    std::vector<repr::CompressedSpectrum> features, Options options) {
-  for (const auto& feature : features) {
-    if (!repr::MethodCompatibleWith(repr::BoundMethod::kBestMinError,
-                                    feature.kind()) &&
-        !repr::MethodCompatibleWith(repr::BoundMethod::kWang, feature.kind())) {
-      return Status::InvalidArgument(
-          "DtwKnnSearch: features must support an upper bound (error kinds)");
-    }
-  }
-  return DtwKnnSearch(std::move(features), options);
-}
-
-Result<DtwKnnSearch> DtwKnnSearch::BuildFeatures(
-    const std::vector<std::vector<double>>& rows, Options options) {
-  std::vector<repr::CompressedSpectrum> features;
-  features.reserve(rows.size());
-  for (const auto& row : rows) {
-    S2_ASSIGN_OR_RETURN(repr::HalfSpectrum spectrum,
-                        repr::HalfSpectrum::FromSeries(row));
-    S2_ASSIGN_OR_RETURN(
-        repr::CompressedSpectrum compressed,
-        repr::CompressedSpectrum::Compress(spectrum, repr::ReprKind::kBestKError,
-                                           options.budget_c));
-    features.push_back(std::move(compressed));
-  }
-  return Create(std::move(features), options);
-}
-
-Status DtwKnnSearch::AddFeature(repr::CompressedSpectrum feature) {
-  if (!repr::MethodCompatibleWith(repr::BoundMethod::kBestMinError,
-                                  feature.kind()) &&
-      !repr::MethodCompatibleWith(repr::BoundMethod::kWang, feature.kind())) {
-    return Status::InvalidArgument(
-        "DtwKnnSearch: feature must support an upper bound (error kinds)");
-  }
-  features_.push_back(std::move(feature));
-  return Status::OK();
-}
-
-Status DtwKnnSearch::UpdateFeature(ts::SeriesId id,
-                                   repr::CompressedSpectrum feature) {
-  if (id >= features_.size()) {
-    return Status::NotFound("DtwKnnSearch: id out of range");
-  }
-  if (!repr::MethodCompatibleWith(repr::BoundMethod::kBestMinError,
-                                  feature.kind()) &&
-      !repr::MethodCompatibleWith(repr::BoundMethod::kWang, feature.kind())) {
-    return Status::InvalidArgument(
-        "DtwKnnSearch: feature must support an upper bound (error kinds)");
-  }
-  features_[id] = std::move(feature);
-  return Status::OK();
-}
-
 Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
-    const std::vector<double>& query, size_t k, storage::SequenceSource* source,
-    SearchStats* stats, index::SharedRadius* shared) const {
+    const std::vector<double>& query, size_t k,
+    const std::vector<std::vector<double>>& rows,
+    storage::SequenceSource* source, SearchStats* stats,
+    index::SharedRadius* shared) const {
   if (k == 0) return Status::InvalidArgument("DtwKnnSearch: k must be > 0");
-  if (source == nullptr) {
-    return Status::InvalidArgument("DtwKnnSearch: source must not be null");
-  }
-  if (source->num_series() != features_.size()) {
-    return Status::InvalidArgument("DtwKnnSearch: source/features size mismatch");
-  }
-  if (query.size() != source->series_length()) {
-    return Status::InvalidArgument("DtwKnnSearch: query length mismatch");
+  if (query.empty()) return Status::InvalidArgument("DtwKnnSearch: empty query");
+  if (source != nullptr && source->num_series() != rows.size()) {
+    return Status::InvalidArgument("DtwKnnSearch: source/rows size mismatch");
   }
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
+  const size_t n = query.size();
 
-  // Phase 1: linear-cost Euclidean upper bounds from the compressed
-  // features. They upper-bound DTW, so the k-th smallest seeds the radius.
-  struct Scored {
-    ts::SeriesId id;
-    double ub;
-  };
-  std::vector<Scored> order;
-  order.reserve(features_.size());
+  // Phase 1: the exact Euclidean distance of every row upper-bounds its
+  // DTW, so the k-th smallest seeds the radius.
   index::BestList seed(k);
-  if (options_.use_compressed_upper_bounds) {
-    S2_ASSIGN_OR_RETURN(repr::HalfSpectrum spectrum,
-                        repr::HalfSpectrum::FromSeries(query));
-    const repr::QuerySpectrum prepared(spectrum);  // |Q_k| once per query.
-    for (ts::SeriesId id = 0; id < features_.size(); ++id) {
-      const repr::BoundMethod method =
-          repr::MethodCompatibleWith(repr::BoundMethod::kBestMinError,
-                                     features_[id].kind())
-              ? repr::BoundMethod::kBestMinError
-              : repr::BoundMethod::kWang;
-      S2_ASSIGN_OR_RETURN(repr::DistanceBounds bounds,
-                          repr::ComputeBounds(prepared, features_[id], method));
-      ++stats->upper_bounds_computed;
-      order.push_back({id, bounds.upper});
-      seed.Offer(id, bounds.upper);
+  for (ts::SeriesId id = 0; id < rows.size(); ++id) {
+    if (rows[id].size() != n) {
+      return Status::InvalidArgument("DtwKnnSearch: query length mismatch");
     }
-    std::sort(order.begin(), order.end(),
-              [](const Scored& a, const Scored& b) { return a.ub < b.ub; });
-  } else {
-    for (ts::SeriesId id = 0; id < features_.size(); ++id) {
-      order.push_back({id, kInf});
-    }
+    seed.Offer(id, simd::SumSqDiff(query.data(), rows[id].data(), n));
+    ++stats->upper_bounds_computed;
   }
+  // The blocked SIMD sum and the DP's sequential sum along the identity
+  // path round differently (each within ~n ulps of the exact sum), and the
+  // radius is gated after a sqrt/square round trip. Widening by 4·n·ε
+  // covers both, so a row whose DTW equals its Euclidean distance is never
+  // rejected by the seed; widening an upper bound is always sound.
+  const double margin = 1.0 + 4.0 * static_cast<double>(n) *
+                                  std::numeric_limits<double>::epsilon();
+  const double radius = std::sqrt(seed.Threshold() * margin);  // +inf unfilled.
 
-  // The seed threshold is witnessed by k compressed upper bounds, each of
-  // which dominates a real DTW distance in this partition — a sound global
-  // bound to publish before any DP has run.
-  if (shared != nullptr && std::isfinite(seed.Threshold())) {
-    shared->Tighten(seed.Threshold());
-  }
+  // The seed is witnessed by k rows of this partition whose DTW is at most
+  // their Euclidean distance — a sound global bound to publish before any
+  // DP has run.
+  if (shared != nullptr && std::isfinite(radius)) shared->Tighten(radius);
 
-  // Phase 2 & 3: envelope once, then cascade per candidate.
+  // Phases 2 & 3: envelope once, then cascade per candidate.
   S2_ASSIGN_OR_RETURN(Envelope envelope, ComputeEnvelope(query, options_.window));
   index::BestList best(k);
-  double radius = seed.Threshold();  // k-th smallest UB (or +inf).
-  for (const Scored& scored : order) {
+  std::vector<double> fetched;
+  std::vector<double> dp_rows;  // DP scratch reused across candidates.
+  for (ts::SeriesId id = 0; id < rows.size(); ++id) {
     const double local = std::min(radius, best.Threshold());
     double current = local;
     if (shared != nullptr) current = std::min(current, shared->load());
@@ -140,19 +68,21 @@ Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
     // truncated distance (see dsp::SquaredEuclideanEarlyAbandon).
     const double local_sq = std::isinf(local) ? kInf : local * local;
     const double current_sq = std::isinf(current) ? kInf : current * current;
-    S2_ASSIGN_OR_RETURN(std::vector<double> row, source->Get(scored.id));
-    if (options_.use_lb_keogh) {
-      S2_ASSIGN_OR_RETURN(double lb_sq, LbKeoghSq(envelope, row, current_sq));
-      ++stats->lb_keogh_computed;
-      if (lb_sq > current_sq) {
-        ++stats->lb_keogh_skips;
-        if (lb_sq <= local_sq) ++stats->shared_radius_skips;
-        continue;
-      }
+    const std::vector<double>* row = &rows[id];
+    if (source != nullptr) {
+      S2_ASSIGN_OR_RETURN(fetched, source->Get(id));
+      row = &fetched;
+    }
+    S2_ASSIGN_OR_RETURN(double lb_sq, LbKeoghSq(envelope, *row, current_sq));
+    ++stats->lb_keogh_computed;
+    if (lb_sq > current_sq) {
+      ++stats->lb_keogh_skips;
+      if (lb_sq <= local_sq) ++stats->shared_radius_skips;
+      continue;
     }
     S2_ASSIGN_OR_RETURN(double dist_sq,
-                        DtwDistanceEarlyAbandonSq(row, query, options_.window,
-                                                  current_sq));
+                        DtwDistanceEarlyAbandonSq(*row, query, options_.window,
+                                                  current_sq, &dp_rows));
     ++stats->dtw_computed;
     // An abandoned DP returns a truncated value > current_sq; it must not
     // enter the result list. Dropping any dist_sq > current_sq is safe even
@@ -160,7 +90,7 @@ Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
     // with true DTW <= radius exist globally and the merge only needs
     // distances that can still reach the global top-k.
     if (dist_sq <= current_sq) {
-      best.Offer(scored.id, std::sqrt(dist_sq));
+      best.Offer(id, std::sqrt(dist_sq));
       if (shared != nullptr && best.Full()) shared->Tighten(best.Threshold());
     }
   }

@@ -6,8 +6,6 @@
 
 #include "common/result.h"
 #include "index/knn.h"
-#include "repr/bounds.h"
-#include "repr/compressed.h"
 #include "storage/sequence_store.h"
 
 namespace s2::dtw {
@@ -18,38 +16,29 @@ namespace s2::dtw {
 /// dynamic time warping".
 ///
 /// The key observation: with squared point costs, the identity alignment is
-/// always admissible, so `DTW(q, t) <= Euclidean(q, t)` — which means every
-/// *upper* bound the compressed spectral representations give on the
-/// Euclidean distance (UB_BestMinError etc.) is also an upper bound on DTW,
-/// at a cost linear in the number of retained coefficients. The search
-/// cascade is:
+/// always admissible, so `DTW(q, t) <= Euclidean(q, t)` — every Euclidean
+/// distance is an upper bound on DTW. The search cascade is:
 ///
-///   1. Score every compressed object with the Euclidean UB; seed the
-///      best-so-far radius with the k-th smallest UB *before any DTW is
-///      computed*, and order candidates by ascending UB.
-///   2. Per candidate (fetched from the sequence store): LB_Keogh with early
-///      abandoning — skip the object when it exceeds the radius.
-///   3. Otherwise run the early-abandoning DTW dynamic program.
+///   1. Compute the exact Euclidean distance of every row (one SIMD pass
+///      each); seed the best-so-far radius with the k-th smallest *before
+///      any DTW is computed*. It is never looser than the compressed upper
+///      bounds the paper proposes for this step, and cheaper to get.
+///   2. Per candidate, in id order: LB_Keogh with early abandoning — skip
+///      the row when it exceeds the radius.
+///   3. Otherwise run the early-abandoning band-only DTW dynamic program.
 ///
-/// Every skip in (2) avoids an O(n*w) DP; every radius tightening in (1)
-/// makes (2) skip more. DTW is not a metric, so the VP-tree's triangle
-/// pruning does not apply — this is a filtered linear scan, as in Keogh's
-/// exact indexing framework the paper cites.
+/// Every skip in (2) avoids an O(n*w) DP. DTW is not a metric, so the
+/// VP-tree's triangle pruning does not apply — this is a filtered linear
+/// scan, as in Keogh's exact indexing framework the paper cites.
 class DtwKnnSearch {
  public:
   struct Options {
     /// Sakoe-Chiba band half-width; 0 = unconstrained.
     size_t window = 16;
-    /// Budget (Table 1 units) of the compressed features used for UB
-    /// seeding; only used by `BuildFeatures`.
-    size_t budget_c = 16;
-    /// Disable to measure the value of the compressed-UB seed (ablation).
-    bool use_compressed_upper_bounds = true;
-    /// Disable to measure the value of LB_Keogh (ablation).
-    bool use_lb_keogh = true;
   };
 
   struct SearchStats {
+    /// Euclidean distances computed for the seed (each bounds DTW above).
     size_t upper_bounds_computed = 0;
     size_t lb_keogh_computed = 0;
     size_t lb_keogh_skips = 0;  ///< Candidates pruned without running the DP.
@@ -60,25 +49,15 @@ class DtwKnnSearch {
     size_t shared_radius_skips = 0;
   };
 
-  /// Builds the search helper over pre-compressed features (kBestKError or
-  /// kFirstKError kinds; anything `ComputeBounds` accepts with an upper
-  /// bound). `features[i]` must describe `source` row i.
-  static Result<DtwKnnSearch> Create(std::vector<repr::CompressedSpectrum> features,
-                                     Options options);
+  explicit DtwKnnSearch(Options options) : options_(options) {}
 
-  /// Convenience: compresses `rows` (standardized sequences) itself.
-  static Result<DtwKnnSearch> BuildFeatures(
-      const std::vector<std::vector<double>>& rows, Options options);
-
-  /// Appends the feature of one more sequence (id = current feature
-  /// count); used by incremental ingestion.
-  Status AddFeature(repr::CompressedSpectrum feature);
-
-  /// Replaces the feature of an already-registered series (the streaming
-  /// append path recomputes a series' feature after its window slides).
-  Status UpdateFeature(ts::SeriesId id, repr::CompressedSpectrum feature);
-
-  /// Exact k nearest neighbors of `query` under windowed DTW.
+  /// Exact k nearest neighbors of `query` under windowed DTW among `rows`
+  /// (one partition's standardized rows, ids = row indices).
+  ///
+  /// The seed and, when `source` is null, every candidate are read from
+  /// `rows` in place. A non-null `source` must hold the same rows: the
+  /// candidates are then fetched through it (disk-resident engines), so its
+  /// read faults reach the caller.
   ///
   /// `shared`, when non-null, is a cross-partition pruning radius (see
   /// index::SharedRadius): the cascade additionally abandons against it and
@@ -86,19 +65,13 @@ class DtwKnnSearch {
   /// list). The result is then the subset of the local top-k that can still
   /// reach the global top-k, with exact DTW distances — what the
   /// scatter-gather merge needs.
-  Result<std::vector<index::Neighbor>> Search(const std::vector<double>& query,
-                                              size_t k,
-                                              storage::SequenceSource* source,
-                                              SearchStats* stats,
-                                              index::SharedRadius* shared = nullptr) const;
-
-  const Options& options() const { return options_; }
+  Result<std::vector<index::Neighbor>> Search(
+      const std::vector<double>& query, size_t k,
+      const std::vector<std::vector<double>>& rows,
+      storage::SequenceSource* source, SearchStats* stats,
+      index::SharedRadius* shared = nullptr) const;
 
  private:
-  DtwKnnSearch(std::vector<repr::CompressedSpectrum> features, Options options)
-      : features_(std::move(features)), options_(options) {}
-
-  std::vector<repr::CompressedSpectrum> features_;
   Options options_;
 };
 

@@ -57,7 +57,7 @@ class BestList {
 ///
 /// Each partition publishes (`Tighten`) any upper bound it can certify on
 /// the *global* k-th nearest distance — its best-list threshold once full,
-/// or the k-th smallest compressed upper bound — and reads (`load`) the
+/// or the DTW search's Euclidean seed — and reads (`load`) the
 /// tightest bound published by anyone to prune harder than its local state
 /// alone would allow. Soundness: every published value is witnessed by k
 /// real objects at that distance or closer, so a candidate provably beyond

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -19,9 +21,10 @@ std::vector<double> RandomSeries(size_t n, uint64_t seed) {
   return x;
 }
 
-// Naive O(n^2) full-matrix DTW for cross-checking.
-double NaiveDtw(const std::vector<double>& a, const std::vector<double>& b,
-                size_t window) {
+// Naive O(n^2) full-matrix DTW for cross-checking, in the squared domain:
+// every cell is cost + min(up, left, up-left), cells off the band +inf.
+double NaiveDtwSq(const std::vector<double>& a, const std::vector<double>& b,
+                  size_t window) {
   const size_t n = a.size();
   const size_t w = window == 0 ? n : window;
   const double inf = std::numeric_limits<double>::infinity();
@@ -35,7 +38,12 @@ double NaiveDtw(const std::vector<double>& a, const std::vector<double>& b,
       dp[i][j] = cost + std::min({dp[i - 1][j], dp[i][j - 1], dp[i - 1][j - 1]});
     }
   }
-  return std::sqrt(dp[n][n]);
+  return dp[n][n];
+}
+
+double NaiveDtw(const std::vector<double>& a, const std::vector<double>& b,
+                size_t window) {
+  return std::sqrt(NaiveDtwSq(a, b, window));
 }
 
 TEST(DtwTest, ValidatesInput) {
@@ -121,6 +129,52 @@ TEST(DtwTest, EarlyAbandonConsistentWithExact) {
   auto abandoned = DtwDistanceEarlyAbandon(a, b, 8, exact / 2.0);
   ASSERT_TRUE(abandoned.ok());
   EXPECT_GT(*abandoned, exact / 2.0);
+}
+
+TEST(DtwTest, FuzzBandDpAgainstNaiveFullMatrix) {
+  // The band-only DP against the full-matrix recurrence above: complete
+  // results equal under ==, and under a random abandon limit the result is
+  // <= the limit exactly when it is the complete value. An abandoned value
+  // is a row minimum, so it never exceeds the complete distance. One
+  // scratch buffer is reused across every shape, so stale cells from a
+  // larger or smaller previous problem would show.
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(2024);
+  std::vector<double> scratch;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = trial < 4 ? static_cast<size_t>(trial) + 1
+                               : 1 + static_cast<size_t>(rng.Uniform(0.0, 300.0));
+    const std::vector<double> a = RandomSeries(n, 7000 + trial);
+    std::vector<double> b = RandomSeries(n, 8000 + trial);
+    if (trial % 5 == 0) b = a;  // Zero distance: abandons only at limit < 0.
+    for (size_t w : {size_t{0}, size_t{1}, size_t{2}, size_t{16}, n - 1, n,
+                     2 * n}) {
+      const double exact = NaiveDtwSq(a, b, w);
+      const double limits[] = {inf,
+                               exact,
+                               std::nextafter(exact, -inf),
+                               exact * rng.Uniform(0.0, 1.0),
+                               exact * rng.Uniform(1.0, 2.0),
+                               -1.0};
+      for (double limit : limits) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  " w=" + std::to_string(w) +
+                                  " limit=" + std::to_string(limit);
+        auto got = DtwDistanceEarlyAbandonSq(a, b, w, limit, &scratch);
+        ASSERT_TRUE(got.ok()) << where;
+        if (exact <= limit) {
+          EXPECT_EQ(*got, exact) << where;
+        } else {
+          EXPECT_GT(*got, limit) << where;
+          EXPECT_LE(*got, exact) << where;
+        }
+        // Without a scratch buffer the same value comes back.
+        auto fresh = DtwDistanceEarlyAbandonSq(a, b, w, limit);
+        ASSERT_TRUE(fresh.ok()) << where;
+        EXPECT_EQ(*fresh, *got) << where;
+      }
+    }
+  }
 }
 
 TEST(EnvelopeTest, ValidatesAndShapes) {

@@ -1,11 +1,17 @@
 #include "core/s2_engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dtw/dtw.h"
+#include "io/mem_env.h"
 #include "querylog/archetypes.h"
 #include "querylog/corpus_generator.h"
 #include "querylog/synthesizer.h"
@@ -46,6 +52,31 @@ S2Engine MakeEngine(size_t extra = 60, size_t n_days = 512, uint64_t seed = 5) {
   auto engine = S2Engine::Build(PaperStyleCorpus(extra, n_days, seed), options);
   EXPECT_TRUE(engine.ok());
   return std::move(engine).ValueOrDie();
+}
+
+// Every other series' complete banded DTW to `id` over the engine's
+// current standardized rows, ascending by (distance, id), cut to k.
+std::vector<std::pair<double, ts::SeriesId>> BruteForceDtw(
+    const S2Engine& engine, ts::SeriesId id, size_t window, size_t k) {
+  std::vector<std::pair<double, ts::SeriesId>> dists;
+  for (ts::SeriesId other = 0; other < engine.corpus().size(); ++other) {
+    if (other == id) continue;
+    dists.emplace_back(*dtw::DtwDistance(engine.standardized(id),
+                                         engine.standardized(other), window),
+                       other);
+  }
+  std::sort(dists.begin(), dists.end());
+  dists.resize(std::min(k, dists.size()));
+  return dists;
+}
+
+void ExpectSameNeighbors(const std::vector<index::Neighbor>& want,
+                         const std::vector<index::Neighbor>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].id, got[i].id) << "rank " << i;
+    EXPECT_EQ(want[i].distance, got[i].distance) << "rank " << i;
+  }
 }
 
 TEST(S2EngineTest, BuildValidatesInput) {
@@ -272,6 +303,83 @@ TEST(S2EngineTest, AddSeriesKeepsDtwSearchConsistent) {
   ASSERT_TRUE(dtw_neighbors.ok());
   ASSERT_FALSE(dtw_neighbors->empty());
   EXPECT_EQ((*dtw_neighbors)[0].id, *id);
+}
+
+TEST(S2EngineTest, SimilarToDtwSeesAppendedPoints) {
+  // The DTW search keeps no per-series state of its own: it reads the
+  // standardized rows as they stand. Streaming one series' window onto
+  // another's values makes the two rows equal, so each finds the other at
+  // DTW distance 0, and every answer equals a brute-force banded scan over
+  // the current rows — in either maintenance mode.
+  for (bool incremental : {false, true}) {
+    S2Engine::Options options;
+    options.index.budget_c = 16;
+    options.dtw_window = 8;
+    options.stream.incremental_maintenance = incremental;
+    auto engine = S2Engine::Build(PaperStyleCorpus(20, 128, 41), options);
+    ASSERT_TRUE(engine.ok());
+    const ts::SeriesId cinema = *engine->FindByName("cinema");
+    const ts::SeriesId easter = *engine->FindByName("easter");
+    const std::vector<double> values = engine->corpus().at(cinema).values;
+    for (double v : values) ASSERT_TRUE(engine->AppendPoint(easter, v).ok());
+    ASSERT_EQ(engine->standardized(easter), engine->standardized(cinema));
+
+    for (ts::SeriesId id : {cinema, easter, ts::SeriesId{12}}) {
+      SCOPED_TRACE("incremental " + std::to_string(incremental) + " id " +
+                   std::to_string(id));
+      auto got = engine->SimilarToDtw(id, 4);
+      ASSERT_TRUE(got.ok());
+      const auto expected = BruteForceDtw(*engine, id, options.dtw_window, 4);
+      ASSERT_EQ(got->size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ((*got)[i].id, expected[i].second) << "rank " << i;
+        EXPECT_EQ((*got)[i].distance, expected[i].first) << "rank " << i;
+      }
+      if (id != 12) {
+        EXPECT_EQ((*got)[0].id, id == cinema ? easter : cinema);
+        EXPECT_EQ((*got)[0].distance, 0.0);
+      }
+    }
+  }
+}
+
+TEST(S2EngineTest, SimilarToDtwExactAgreesWithSearch) {
+  // The degraded-mode fallback (a plain early-abandoning scan) and the
+  // pruned search run the same DP over the same rows: same ids, same
+  // distances, bit for bit.
+  S2Engine engine = MakeEngine(40, 256, 43);
+  for (ts::SeriesId id = 0; id < engine.corpus().size(); id += 6) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    auto search = engine.SimilarToDtw(id, 5);
+    auto exact = engine.SimilarToDtwExact(id, 5);
+    ASSERT_TRUE(search.ok());
+    ASSERT_TRUE(exact.ok());
+    ExpectSameNeighbors(*exact, *search);
+  }
+}
+
+TEST(S2EngineTest, DiskBackedEngineGivesSameDtwAnswers) {
+  // A disk-resident engine fetches every DTW candidate through its store
+  // instead of reading the rows in place; the answers must not change.
+  io::MemEnv env;
+  ts::Corpus corpus = PaperStyleCorpus(30, 256, 44);
+  S2Engine::Options ram_options;
+  ram_options.index.budget_c = 8;
+  auto ram = S2Engine::Build(corpus, ram_options);
+  ASSERT_TRUE(ram.ok());
+  S2Engine::Options disk_options = ram_options;
+  disk_options.disk_store_path = "dtw_store.bin";
+  disk_options.env = &env;
+  auto disk = S2Engine::Build(corpus, disk_options);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  for (ts::SeriesId id = 0; id < 8; ++id) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    auto a = ram->SimilarToDtw(id, 3);
+    auto b = disk->SimilarToDtw(id, 3);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ExpectSameNeighbors(*a, *b);
+  }
 }
 
 TEST(S2EngineTest, SimilarToSeriesRejectsWrongLength) {

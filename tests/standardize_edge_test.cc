@@ -1,21 +1,21 @@
 #include <cmath>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "burst/burst_detector.h"
 #include "dsp/stats.h"
-#include "stream/sliding_spectrum.h"
+#include "stream/burst_stream.h"
 
-// Edge-case audit for the standardization paths (ISSUE 9 satellite):
-// zero-variance windows, single points, and catastrophic cancellation must
-// never leak a NaN into downstream features, in either the batch
-// (dsp::Standardize) or streaming (stream::SlidingSpectrum) pipeline.
+// Edge-case audit for the standardization paths: zero-variance windows,
+// single points, and catastrophic cancellation must never leak a NaN into
+// downstream features, in either the batch (dsp::Standardize) or the
+// streaming (stream::BurstStream, whose running moments standardize
+// implicitly) pipeline.
 
 namespace s2 {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void ExpectAllFinite(const std::vector<double>& x) {
   for (double v : x) EXPECT_TRUE(std::isfinite(v)) << v;
@@ -74,83 +74,47 @@ TEST(StandardizeEdgeTest, NearZeroStddevStaysFinite) {
   for (double v : z) EXPECT_FALSE(std::isnan(v));
 }
 
-// --- Streaming side: SlidingSpectrum ---
+// --- Streaming side: BurstStream's running moments ---
 
-stream::SlidingSpectrum MakeSpectrum(const std::vector<double>& window) {
-  auto r = stream::SlidingSpectrum::Create(window, {1, 2});
+stream::BurstStream MakeStream(const std::vector<double>& window) {
+  auto r = stream::BurstStream::Create(burst::BurstDetector::Options{4, 1.5, true},
+                                       window);
   EXPECT_TRUE(r.ok()) << r.status().message();
   return std::move(r).value();
 }
 
-TEST(StandardizeEdgeTest, SlidingSpectrumConstantWindowHasZeroSigma) {
-  std::vector<double> window(16, 3.25);
-  stream::SlidingSpectrum s = MakeSpectrum(window);
-  EXPECT_EQ(s.std_dev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.25);
-  // A constant window standardizes to all zeros: the compressed feature
-  // must be exactly zero-energy with zero error, and min_power +inf (the
-  // documented "no periodicity floor" sentinel) — no NaN anywhere.
-  auto feature = s.ToCompressed();
-  ASSERT_TRUE(feature.ok());
-  for (const auto& z : feature->coeffs()) {
-    EXPECT_EQ(z.real(), 0.0);
-    EXPECT_EQ(z.imag(), 0.0);
+void ExpectCleanRegions(const stream::BurstStream& s) {
+  for (const burst::BurstRegion& region : s.Regions()) {
+    EXPECT_TRUE(std::isfinite(region.avg_value)) << region.avg_value;
+    EXPECT_LE(region.start, region.end);
   }
-  EXPECT_EQ(feature->error(), 0.0);
-  EXPECT_EQ(feature->min_power(), kInf);
 }
 
 TEST(StandardizeEdgeTest, SlideOntoConstantWindowStaysClean) {
   // Start varied, slide until the window is constant: the running sumsq
-  // recursion can go slightly negative from rounding; std_dev must clamp
-  // to zero rather than sqrt(-eps) = NaN.
+  // recursions (window and moving average) can go slightly negative from
+  // rounding; sigma must clamp to zero rather than sqrt(-eps) = NaN.
   std::vector<double> window = {1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 6.0};
-  stream::SlidingSpectrum s = MakeSpectrum(window);
-  for (double old : window) s.Slide(old, 2.0);
-  EXPECT_FALSE(std::isnan(s.std_dev()));
-  EXPECT_GE(s.std_dev(), 0.0);
-  EXPECT_NEAR(s.mean(), 2.0, 1e-12);
-  auto feature = s.ToCompressed();
-  ASSERT_TRUE(feature.ok());
-  for (const auto& z : feature->coeffs()) {
-    EXPECT_FALSE(std::isnan(z.real()));
-    EXPECT_FALSE(std::isnan(z.imag()));
-  }
+  stream::BurstStream s = MakeStream(window);
+  for (size_t i = 0; i < window.size(); ++i) s.Slide(2.0);
+  EXPECT_FALSE(std::isnan(s.raw_cutoff()));
+  EXPECT_NEAR(s.raw_cutoff(), 2.0, 1e-6);
+  ExpectCleanRegions(s);
 }
 
 TEST(StandardizeEdgeTest, SlideWithHugeOffsetKeepsFiniteSigma) {
-  // Catastrophic-cancellation stress for the running mean/power pair: a
+  // Catastrophic-cancellation stress for the running mean/power pairs: a
   // large common offset with small wiggle. The recursion is allowed to
   // lose the wiggle (documented limitation of one-pass streaming moments)
-  // but must never produce NaN or negative sigma.
+  // but must never produce a NaN cutoff or a non-finite region height.
   std::vector<double> window;
-  for (int i = 0; i < 16; ++i)
-    window.push_back(1e9 + (i % 2 == 0 ? 0.5 : -0.5));
-  stream::SlidingSpectrum s = MakeSpectrum(window);
+  for (int i = 0; i < 16; ++i) window.push_back(1e9 + (i % 2 == 0 ? 0.5 : -0.5));
+  stream::BurstStream s = MakeStream(window);
   for (int lap = 0; lap < 4; ++lap) {
-    for (int i = 0; i < 16; ++i) {
-      const double old = 1e9 + (i % 2 == 0 ? 0.5 : -0.5);
-      s.Slide(old, 1e9 + (i % 3 == 0 ? 0.25 : -0.25));
-    }
+    for (int i = 0; i < 16; ++i) s.Slide(1e9 + (i % 3 == 0 ? 0.25 : -0.25));
+    EXPECT_TRUE(std::isfinite(s.raw_cutoff())) << "lap " << lap;
+    ExpectCleanRegions(s);
   }
-  EXPECT_FALSE(std::isnan(s.std_dev()));
-  EXPECT_GE(s.std_dev(), 0.0);
-  EXPECT_TRUE(std::isfinite(s.mean()));
-}
-
-TEST(StandardizeEdgeTest, SlidingSpectrumCreateValidatesPositions) {
-  const std::vector<double> window(16, 1.0);
-  // bins = 16/2 + 1 = 9; positions must be 1 <= count < bins, in range,
-  // strictly ascending.
-  EXPECT_FALSE(stream::SlidingSpectrum::Create(window, {}).ok());
-  EXPECT_FALSE(stream::SlidingSpectrum::Create(window, {9}).ok());
-  EXPECT_FALSE(stream::SlidingSpectrum::Create(window, {2, 2}).ok());
-  EXPECT_FALSE(stream::SlidingSpectrum::Create(window, {3, 1}).ok());
-  EXPECT_FALSE(
-      stream::SlidingSpectrum::Create(window, {0, 1, 2, 3, 4, 5, 6, 7, 8})
-          .ok());
-  EXPECT_TRUE(stream::SlidingSpectrum::Create(window, {0, 1, 8}).ok());
-  EXPECT_FALSE(stream::SlidingSpectrum::Create({}, {1}).ok());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Incremental feature maintenance vs. batch recomputation: the sliding-DFT
-// state (stream::SlidingSpectrum) and the online burst detector
-// (stream::BurstStream) must track their batch counterparts within the
-// documented fp-drift tolerances across long slide sequences.
+// Incremental feature maintenance vs. batch recomputation: the online burst
+// detector (stream::BurstStream) must track its batch counterpart within
+// the documented fp-drift tolerances across long slide sequences.
 
 #include <cmath>
 #include <deque>
@@ -12,10 +11,7 @@
 #include "burst/burst_detector.h"
 #include "common/rng.h"
 #include "dsp/stats.h"
-#include "repr/compressed.h"
-#include "repr/half_spectrum.h"
 #include "stream/burst_stream.h"
-#include "stream/sliding_spectrum.h"
 
 namespace s2::stream {
 namespace {
@@ -42,90 +38,6 @@ double NextSample(size_t step, Rng* rng) {
   // Occasional spikes keep the burst detector busy.
   if (step % 37 == 0) v += 15.0;
   return v;
-}
-
-TEST(SlidingSpectrumTest, CreateValidatesPositions) {
-  const std::vector<double> window = SeasonalWindow(64, 1);
-  EXPECT_FALSE(SlidingSpectrum::Create(window, {}).ok());
-  EXPECT_FALSE(SlidingSpectrum::Create(window, {0, 40}).ok());  // >= n/2+1 bins.
-  EXPECT_FALSE(SlidingSpectrum::Create(window, {5, 3}).ok());   // Not ascending.
-  std::vector<uint32_t> all(33);
-  for (uint32_t i = 0; i < 33; ++i) all[i] = i;
-  EXPECT_FALSE(SlidingSpectrum::Create(window, all).ok());  // Tracks every bin.
-  EXPECT_TRUE(SlidingSpectrum::Create(window, {0, 4, 13}).ok());
-}
-
-TEST(SlidingSpectrumTest, TracksBatchCoefficientsAcrossManySlides) {
-  const size_t n = 128;
-  std::deque<double> window;
-  for (double v : SeasonalWindow(n, 7)) window.push_back(v);
-
-  // Track the window's genuine best-8 positions (from a batch compress).
-  const std::vector<double> z0 =
-      dsp::Standardize(std::vector<double>(window.begin(), window.end()));
-  auto spectrum0 = repr::HalfSpectrum::FromSeries(z0);
-  ASSERT_TRUE(spectrum0.ok());
-  auto best = repr::CompressedSpectrum::Compress(*spectrum0,
-                                                 repr::ReprKind::kBestKError, 8);
-  ASSERT_TRUE(best.ok());
-
-  auto sliding = SlidingSpectrum::Create(
-      std::vector<double>(window.begin(), window.end()), best->positions());
-  ASSERT_TRUE(sliding.ok());
-
-  Rng rng(8);
-  for (size_t step = 0; step < 300; ++step) {
-    const double x_new = NextSample(step, &rng);
-    sliding->Slide(window.front(), x_new);
-    window.pop_front();
-    window.push_back(x_new);
-
-    if (step % 50 != 49) continue;
-    // Batch reference over the current window.
-    const std::vector<double> raw(window.begin(), window.end());
-    const std::vector<double> z = dsp::Standardize(raw);
-    auto batch = repr::HalfSpectrum::FromSeries(z);
-    ASSERT_TRUE(batch.ok());
-
-    EXPECT_NEAR(sliding->mean(), dsp::Mean(raw), kDriftTolerance);
-    EXPECT_NEAR(sliding->std_dev(), dsp::StdDev(raw), kDriftTolerance);
-
-    auto compressed = sliding->ToCompressed();
-    ASSERT_TRUE(compressed.ok());
-    ASSERT_EQ(compressed->positions(), best->positions());
-    double retained = 0.0;
-    for (size_t i = 0; i < compressed->positions().size(); ++i) {
-      const uint32_t k = compressed->positions()[i];
-      // Standardized coefficient: the DFT is linear and the mean shift only
-      // lands in DC, so Z_k = X_k / sigma for k > 0 and Z_0 = 0.
-      const dsp::Complex want =
-          k == 0 ? dsp::Complex{0.0, 0.0} : batch->coeff(k);
-      EXPECT_NEAR(compressed->coeffs()[i].real(), want.real(), kDriftTolerance)
-          << "bin " << k << " after slide " << step;
-      EXPECT_NEAR(compressed->coeffs()[i].imag(), want.imag(), kDriftTolerance)
-          << "bin " << k << " after slide " << step;
-      retained += batch->multiplicity(k) * std::norm(batch->coeff(k));
-    }
-    // Parseval-derived omitted energy stays exact-ish even though the
-    // tracked positions were frozen 'step' slides ago.
-    EXPECT_NEAR(compressed->error(), batch->Energy() - retained,
-                kDriftTolerance * static_cast<double>(n));
-    // A frozen position set cannot bound omitted bins.
-    EXPECT_TRUE(std::isinf(compressed->min_power()));
-  }
-}
-
-TEST(SlidingSpectrumTest, ConstantWindowStandardizesToZeros) {
-  std::vector<double> window(64, 3.0);
-  auto sliding = SlidingSpectrum::Create(window, {1, 2, 3});
-  ASSERT_TRUE(sliding.ok());
-  for (int i = 0; i < 70; ++i) sliding->Slide(3.0, 3.0);
-  auto compressed = sliding->ToCompressed();
-  ASSERT_TRUE(compressed.ok());
-  for (const dsp::Complex& c : compressed->coeffs()) {
-    EXPECT_NEAR(std::abs(c), 0.0, kDriftTolerance);
-  }
-  EXPECT_NEAR(compressed->error(), 0.0, kDriftTolerance);
 }
 
 TEST(BurstStreamTest, CreateRequiresAFullWindow) {

@@ -63,10 +63,13 @@
 # The `kernels` profile is the simd bit-compatibility gate: it builds under
 # ASan+UBSan (misaligned vector loads and out-of-bounds tails become hard
 # failures) and runs the kernels-labelled tests — the differential fuzz
-# harness in simd_kernel_test.cc, the standardization edge cases, and the
-# dispatch-matrix re-runs of the golden/equivalence suites — once with
-# default dispatch and once with S2_SIMD=off, so both sides of every
-# backend-vs-scalar comparison are themselves exercised under sanitizers.
+# harness in simd_kernel_test.cc, the band-DP and Euclidean-seed fuzzers of
+# the DTW search (dtw_test.cc, dtw_search_test.cc), the standardization
+# edge cases, and the dispatch-matrix re-runs of the golden/equivalence
+# suites — once with default dispatch and once with S2_SIMD=off, so both
+# sides of every backend-vs-scalar comparison are themselves exercised
+# under sanitizers. One small bench_dtw pass follows, which fails unless
+# the DTW search returns the plain scan's distances bit for bit.
 # (tools/lint.sh discovers src/simd automatically via its `find src` walk.)
 #
 # The `approx` profile is the approximate-tier gate: it builds under
@@ -224,6 +227,9 @@ if [ "${1:-}" = "kernels" ]; then
   "${build_dir}/bench/bench_kernels" --reps 2000 \
     --json "${build_dir}/BENCH_kernels.json" \
     || { echo "FAIL [kernels]: bench_kernels" >&2; exit 1; }
+  "${build_dir}/bench/bench_dtw" --db 256 --days 128 --queries 4 --repeats 1 \
+    --s2bench-db 1024 --json "${build_dir}/BENCH_dtw.json" \
+    || { echo "FAIL [kernels]: bench_dtw" >&2; exit 1; }
   echo "verify_all.sh: kernels profile green."
   exit 0
 fi
