@@ -25,11 +25,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/s2_engine.h"
 #include "io/fault_env.h"
 #include "io/mem_env.h"
 #include "querylog/corpus_generator.h"
 #include "service/s2_server.h"
+#include "shard/sharded_engine.h"
 
 using namespace s2;
 
@@ -81,13 +81,15 @@ std::unique_ptr<Deployment> MakeDeployment(const Config& config, bool degrade,
     std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
     return nullptr;
   }
-  core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.disk_store_path = "store.bin";
-  options.env = d->env.get();
-  options.retry.base_backoff = std::chrono::microseconds(20);
-  options.retry.max_backoff = std::chrono::microseconds(200);
-  auto engine = core::S2Engine::Build(std::move(corpus).ValueOrDie(), options);
+  shard::ShardedEngine::Options options;
+  options.num_shards = 1;
+  options.engine.index.budget_c = 8;
+  options.engine.disk_store_path = "store.bin";
+  options.engine.env = d->env.get();
+  options.engine.retry.base_backoff = std::chrono::microseconds(20);
+  options.engine.retry.max_backoff = std::chrono::microseconds(200);
+  auto engine =
+      shard::ShardedEngine::Build(std::move(corpus).ValueOrDie(), options);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return nullptr;

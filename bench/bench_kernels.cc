@@ -115,33 +115,12 @@ double RunSum(const simd::KernelTable& t, size_t n, size_t reps) {
   });
 }
 
-double RunSlideComplexBins(const simd::KernelTable& t, size_t n, size_t reps) {
-  // n doubles = n/2 interleaved complex bins; rotation magnitude 1 keeps
-  // the values bounded over millions of reps.
-  static std::vector<double> bins;
-  if (bins.size() < n) bins = Buf(0, n);
-  static std::vector<double> tw;
-  if (tw.size() < n) {
-    tw.resize(n);
-    for (size_t i = 0; i < n; i += 2) {
-      tw[i] = 0.8;
-      tw[i + 1] = 0.6;
-    }
-  }
-  return TimeBest(reps, [&](size_t r) {
-    for (size_t i = 0; i < r; ++i)
-      t.slide_complex_bins(bins.data(), tw.data(), n / 2, 1e-6);
-    g_sink = bins[0];
-  });
-}
-
 const KernelCase kCases[] = {
     {"sum", RunSum},
     {"sum_sq_diff", RunSumSqDiff},
     {"euclidean_early_abandon", RunSumSqDiffAbandon},
     {"lb_keogh", RunLbKeogh},
     {"standardize", RunStandardize},
-    {"slide_complex_bins", RunSlideComplexBins},
 };
 
 }  // namespace

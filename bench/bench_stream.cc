@@ -6,11 +6,9 @@
 //                              [--requests 200] [--k 10] [--delta 64]
 //
 // Two tables:
-//  1. Per-append cost at every corpus size in `--series` across the four
-//     maintenance configurations — exact per-append recompute vs the O(w)
-//     incremental path (online burst detector), each with and
-//     without a WAL (MemEnv-backed, sync-every-append). One server per size
-//     and configuration runs `--repeats` consecutive batches of `--appends`
+//  1. Per-append cost at every corpus size in `--series`, with and without
+//     a WAL (MemEnv-backed, sync-every-append). One server per size and
+//     configuration runs `--repeats` consecutive batches of `--appends`
 //     appends; the table gives the median and quartiles over the batches of
 //     wall time and of the appending thread's CPU time per append, which
 //     covers AppendPoint plus the amortized foreground Compact.
@@ -58,11 +56,9 @@ struct AppendRow {
 };
 
 AppendRow RunAppends(const char* config, size_t series, size_t days,
-                     size_t appends, size_t repeats, bool incremental,
-                     bool wal) {
+                     size_t appends, size_t repeats, bool wal) {
   core::S2Engine::Options engine_options;
   engine_options.index.budget_c = 16;
-  engine_options.stream.incremental_maintenance = incremental;
 
   io::MemEnv wal_env;
   service::S2Server::Options server_options;
@@ -242,19 +238,16 @@ int main(int argc, char** argv) {
               "wall_us/append", "thread_cpu_us/append", "compactions");
   const struct {
     const char* name;
-    bool incremental;
     bool wal;
   } configs[] = {
-      {"exact", false, false},
-      {"exact+wal", false, true},
-      {"incremental", true, false},
-      {"incremental+wal", true, true},
+      {"exact", false},
+      {"exact+wal", true},
   };
   bench::Json append_rows = bench::Json::Array();
   for (const size_t size : sizes) {
     for (const auto& config : configs) {
-      const AppendRow row = RunAppends(config.name, size, days, appends,
-                                       repeats, config.incremental, config.wal);
+      const AppendRow row =
+          RunAppends(config.name, size, days, appends, repeats, config.wal);
       std::printf("  %8zu %-16s %8.1f [%7.1f, %7.1f] %8.1f [%7.1f, %7.1f] %12llu\n",
                   row.series, row.config, row.wall_us.median, row.wall_us.p25,
                   row.wall_us.p75, row.cpu_us.median, row.cpu_us.p25,

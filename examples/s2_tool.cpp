@@ -409,9 +409,7 @@ class Tool {
       params.k = k;
       params.recall_target = recall;
       params.max_candidates = candidates;
-      auto answer = server_->is_sharded()
-                        ? server_->sharded().ApproxKnn(*id, params)
-                        : engine().ApproxKnn(*id, params);
+      auto answer = server_->sharded().ApproxKnn(*id, params);
       if (!answer.ok()) {
         std::printf("  %s\n", answer.status().ToString().c_str());
         return;
@@ -782,21 +780,9 @@ class Tool {
   }
 
   void ListSubscriptions() {
-    // Topology-neutral: one engine's registry, or every shard's (entries
-    // carry global series ids either way; merge sorted by id).
-    std::vector<monitor::SubscriptionRegistry::Entry> entries;
-    if (server_->is_sharded()) {
-      for (size_t s = 0; s < server_->sharded().num_shards(); ++s) {
-        const auto shard_entries =
-            server_->sharded().shard(s).monitor_registry().List();
-        entries.insert(entries.end(), shard_entries.begin(),
-                       shard_entries.end());
-      }
-      std::sort(entries.begin(), entries.end(),
-                [](const auto& a, const auto& b) { return a.sub.id < b.sub.id; });
-    } else {
-      entries = engine().monitor_registry().List();
-    }
+    // Every shard's entries (global series ids), merged by subscription id.
+    const std::vector<monitor::SubscriptionRegistry::Entry> entries =
+        server_->sharded().ListSubscriptions();
     if (entries.empty()) {
       std::printf("  no active subscriptions\n");
       return;
@@ -892,30 +878,21 @@ class Tool {
 
   const core::S2Engine& engine() const { return server_->engine(); }
 
-  // Topology-neutral catalog access: the commands above must not care
-  // whether the server wraps one engine or a sharded scatter-gather one.
-  size_t CorpusSize() const {
-    return server_->is_sharded() ? server_->sharded().size()
-                                 : engine().corpus().size();
-  }
+  // Catalog access by global id, the same at any shard count.
+  size_t CorpusSize() const { return server_->sharded().size(); }
 
   Result<ts::SeriesId> FindId(const std::string& name) const {
-    return server_->is_sharded() ? server_->sharded().FindByName(name)
-                                 : engine().FindByName(name);
+    return server_->sharded().FindByName(name);
   }
 
   const ts::TimeSeries& SeriesAt(ts::SeriesId id) const {
-    if (server_->is_sharded()) return *server_->sharded().Series(id).value();
-    return engine().corpus().at(id);
+    return *server_->sharded().Series(id).value();
   }
 
   std::vector<double> StandardizedRow(ts::SeriesId id) const {
-    if (server_->is_sharded()) {
-      const auto placement = server_->sharded().PlacementOf(id);
-      return server_->sharded().shard(placement->shard)
-          .standardized(placement->local);
-    }
-    return engine().standardized(id);
+    const auto placement = server_->sharded().PlacementOf(id);
+    return server_->sharded().shard(placement->shard)
+        .standardized(placement->local);
   }
 
   std::unique_ptr<service::S2Server> server_;
@@ -1002,13 +979,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   size_t compressed_bytes = 0;
-  if ((*server)->is_sharded()) {
-    const shard::ShardedEngine& sharded = (*server)->sharded();
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      compressed_bytes += sharded.shard(s).index().CompressedBytes();
-    }
-  } else {
-    compressed_bytes = (*server)->engine().index().CompressedBytes();
+  const shard::ShardedEngine& sharded = (*server)->sharded();
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    compressed_bytes += sharded.shard(s).index().CompressedBytes();
   }
   std::printf(
       "S2 Similarity Tool - %zu queries indexed (%zu KiB compressed "

@@ -245,15 +245,14 @@ Status S2Engine::AppendPoint(ts::SeriesId id, double value) {
   }
 
   // 4. Derived state: burst rows of both horizons.
-  S2_RETURN_NOT_OK(RefreshDerivedState(id, value));
+  S2_RETURN_NOT_OK(RefreshDerivedState(id));
 
   ++appends_;
 
   // 5. Standing subscriptions on this series — O(active subscriptions on
   // id), one hash probe when there are none. Evaluation reads only the
-  // committed window and standardized row (identical under exact and
-  // incremental maintenance), so the fired alert stream cannot depend on
-  // the maintenance mode or on which shard this engine happens to be.
+  // committed window and standardized row, so the fired alert stream cannot
+  // depend on which shard this engine happens to be.
   if (registry_.CountOn(id) > 0) {
     const auto eval_start = std::chrono::steady_clock::now();
     monitor::EvalContext ctx;
@@ -308,40 +307,8 @@ Status S2Engine::Unsubscribe(monitor::SubscriptionId id) {
   return registry_.Unsubscribe(id);
 }
 
-Status S2Engine::RefreshDerivedState(ts::SeriesId id, double x_new) {
+Status S2Engine::RefreshDerivedState(ts::SeriesId id) {
   const ts::TimeSeries& series = corpus_.at(id);
-  if (options_.stream.incremental_maintenance) {
-    auto it = incremental_.find(id);
-    if (it == incremental_.end()) {
-      // First append of this series: anchor the accumulators with one full
-      // scan of the window. Creation can be infeasible for degenerate
-      // geometries (windows shorter than the moving average); those series
-      // simply stay on the exact path below.
-      auto long_stream =
-          stream::BurstStream::Create(long_detector_.options(), series.values);
-      auto short_stream =
-          stream::BurstStream::Create(short_detector_.options(), series.values);
-      if (long_stream.ok() && short_stream.ok()) {
-        it = incremental_
-                 .emplace(id, IncrementalState{std::move(*long_stream),
-                                               std::move(*short_stream)})
-                 .first;
-      }
-    } else {
-      it->second.long_bursts.Slide(x_new);
-      it->second.short_bursts.Slide(x_new);
-    }
-    if (it != incremental_.end()) {
-      long_bursts_.EraseSeries(id);
-      long_bursts_.Insert(id, it->second.long_bursts.Regions(),
-                          series.start_day);
-      short_bursts_.EraseSeries(id);
-      short_bursts_.Insert(id, it->second.short_bursts.Regions(),
-                           series.start_day);
-      return Status::OK();
-    }
-  }
-
   S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> long_regions,
                       long_detector_.Detect(series.values));
   long_bursts_.EraseSeries(id);

@@ -19,7 +19,6 @@
 #include "period/period_detector.h"
 #include "resilience/retrying_source.h"
 #include "storage/sequence_store.h"
-#include "stream/burst_stream.h"
 #include "stream/delta_index.h"
 #include "timeseries/time_series.h"
 
@@ -80,20 +79,6 @@ class S2Engine {
     /// Retry policy for transient faults on the disk verification path
     /// (disk-resident engines only; see resilience::RetryingSequenceSource).
     resilience::RetryPolicy retry;
-    /// Streaming ingestion (`AppendPoint`) behavior.
-    struct StreamOptions {
-      /// false (default): every append re-detects the touched series'
-      /// bursts with the batch detector, so a streamed engine stays
-      /// *bitwise* identical to a batch rebuild over the same data. true:
-      /// maintain the burst rows with an incremental moving-average
-      /// detector (stream::BurstStream); burst answers then agree with
-      /// batch up to documented fp-drift tolerances. Everything else — the
-      /// standardized row, the delta VP-tree entry, the summary envelope —
-      /// is recomputed exactly either way, so k-NN answers (Euclidean,
-      /// approximate and DTW) are unaffected by this flag.
-      bool incremental_maintenance = false;
-    };
-    StreamOptions stream;
     /// Approximate-first search tier (src/approx, DESIGN.md §13).
     struct ApproxOptions {
       /// Builds the summary index at Build time (a few hundred bytes per
@@ -146,7 +131,8 @@ class S2Engine {
   /// The series moves to the delta tier (a small side VP-tree searched
   /// alongside the main index; see stream::DeltaIndex) and all its derived
   /// state — stored row, summary envelope, burst rows of both horizons — is
-  /// brought current per `Options::StreamOptions`.
+  /// recomputed exactly, so a streamed engine stays bitwise identical to a
+  /// batch rebuild over the same data.
   ///
   /// A writer, like `AddSeries`: serialize externally against all readers.
   /// On an I/O error (disk-resident engines) the engine rolls the series
@@ -385,10 +371,9 @@ class S2Engine {
       const std::vector<double>& z, size_t k,
       index::VpTreeIndex::SearchStats* stats, index::SharedRadius* shared) const;
 
-  /// Recomputes/maintains both horizons' burst rows of `id` after its
-  /// window slid; `x_new` entered the back. The corpus row is already
-  /// current.
-  Status RefreshDerivedState(ts::SeriesId id, double x_new);
+  /// Re-detects both horizons' burst rows of `id` after its window slid.
+  /// The corpus row is already current.
+  Status RefreshDerivedState(ts::SeriesId id);
 
   Options options_;
   ts::Corpus corpus_;
@@ -418,14 +403,6 @@ class S2Engine {
   std::unique_ptr<stream::DeltaIndex> delta_;
   uint64_t appends_ = 0;
   uint64_t compactions_ = 0;
-  // Incremental-maintenance state (only populated when
-  // options_.stream.incremental_maintenance): per-series burst-detector
-  // accumulators, created on a series' first append.
-  struct IncrementalState {
-    stream::BurstStream long_bursts;
-    stream::BurstStream short_bursts;
-  };
-  std::unordered_map<ts::SeriesId, IncrementalState> incremental_;
 
   // --- Standing queries ------------------------------------------------------
   // Subscriptions keyed by local series id; mutated only on the writer

@@ -73,36 +73,28 @@ bool IsInfrastructureFailure(const Status& status) {
   }
 }
 
-}  // namespace
-
-std::unique_ptr<S2Server> S2Server::Create(core::S2Engine engine,
-                                           const Options& options) {
-  return std::unique_ptr<S2Server>(
-      new S2Server(std::move(engine), std::nullopt, options));
+Result<shard::ShardedEngine> BuildEngine(
+    ts::Corpus corpus, const core::S2Engine::Options& engine_options,
+    const S2Server::Options& options) {
+  shard::ShardedEngine::Options shard_options;
+  shard_options.num_shards = options.shards;
+  shard_options.engine = engine_options;
+  shard_options.shard_envs = options.shard_envs;
+  return shard::ShardedEngine::Build(std::move(corpus), shard_options);
 }
+
+}  // namespace
 
 std::unique_ptr<S2Server> S2Server::Create(shard::ShardedEngine engine,
                                            const Options& options) {
-  return std::unique_ptr<S2Server>(
-      new S2Server(std::nullopt, std::move(engine), options));
+  return std::unique_ptr<S2Server>(new S2Server(std::move(engine), options));
 }
 
 Result<std::unique_ptr<S2Server>> S2Server::Build(
     ts::Corpus corpus, const core::S2Engine::Options& engine_options,
     const Options& options) {
-  if (options.shards == 1) {
-    S2_ASSIGN_OR_RETURN(core::S2Engine engine,
-                        core::S2Engine::Build(std::move(corpus), engine_options));
-    std::unique_ptr<S2Server> server = Create(std::move(engine), options);
-    S2_RETURN_NOT_OK(server->OpenWal());
-    return server;
-  }
-  shard::ShardedEngine::Options shard_options;
-  shard_options.num_shards = options.shards;
-  shard_options.engine = engine_options;
-  shard_options.shard_envs = options.shard_envs;
   S2_ASSIGN_OR_RETURN(shard::ShardedEngine engine,
-                      shard::ShardedEngine::Build(std::move(corpus), shard_options));
+                      BuildEngine(std::move(corpus), engine_options, options));
   std::unique_ptr<S2Server> server = Create(std::move(engine), options);
   S2_RETURN_NOT_OK(server->OpenWal());
   return server;
@@ -131,21 +123,8 @@ Result<std::unique_ptr<S2Server>> S2Server::Recover(
   for (ts::TimeSeries& series : checkpoint.snapshot.corpus) {
     image.Add(std::move(series));
   }
-  std::unique_ptr<S2Server> server;
-  if (options.shards == 1) {
-    S2_ASSIGN_OR_RETURN(core::S2Engine engine,
-                        core::S2Engine::Build(std::move(image), engine_options));
-    server = Create(std::move(engine), options);
-  } else {
-    shard::ShardedEngine::Options shard_options;
-    shard_options.num_shards = options.shards;
-    shard_options.engine = engine_options;
-    shard_options.shard_envs = options.shard_envs;
-    S2_ASSIGN_OR_RETURN(
-        shard::ShardedEngine engine,
-        shard::ShardedEngine::Build(std::move(image), shard_options));
-    server = Create(std::move(engine), options);
-  }
+  S2_ASSIGN_OR_RETURN(shard::ShardedEngine engine,
+                      BuildEngine(std::move(image), engine_options, options));
 
   // Cross-check the rebuilt corpus against the manifest's recorded
   // per-shard checksums when the topology matches (a different shard
@@ -153,35 +132,24 @@ Result<std::unique_ptr<S2Server>> S2Server::Recover(
   // incomparable — the snapshot's own container checksum already vouched
   // for the bytes). The manifest records the *current* generation's
   // checksums, so the check also doesn't apply when recovery fell back
-  // to the previous snapshot. A mismatch means the snapshot and manifest
-  // disagree about the data; fall back to the full-replay path rather
-  // than serve an image of unknown pedigree.
-  bool checksums_ok = true;
+  // to the previous snapshot (only its container checksum vouches for it).
+  // A mismatch means the snapshot and manifest disagree about the data;
+  // fall back to the full-replay path rather than serve an image of
+  // unknown pedigree.
   const ckpt::Manifest& manifest = checkpoint.manifest;
-  if (checkpoint.from_fallback) {
-    // Only the container checksum vouches for the fallback snapshot.
-  } else if (!server->is_sharded()) {
-    if (manifest.shard_count == 1 && manifest.shard_checksums.size() == 1) {
-      checksums_ok =
-          ckpt::CheckpointStore::CorpusChecksum(
-              server->engine_->corpus().series()) ==
-          manifest.shard_checksums[0];
-    }
-  } else if (server->sharded_->num_shards() == manifest.shard_count &&
-             manifest.shard_checksums.size() == manifest.shard_count) {
+  if (!checkpoint.from_fallback &&
+      engine.num_shards() == manifest.shard_count &&
+      manifest.shard_checksums.size() == manifest.shard_count) {
     for (size_t s = 0; s < manifest.shard_count; ++s) {
       if (ckpt::CheckpointStore::CorpusChecksum(
-              server->sharded_->shard(s).corpus().series()) !=
+              engine.shard(s).corpus().series()) !=
           manifest.shard_checksums[s]) {
-        checksums_ok = false;
-        break;
+        return Build(std::move(corpus), engine_options, options);
       }
     }
   }
-  if (!checksums_ok) {
-    return Build(std::move(corpus), engine_options, options);
-  }
 
+  std::unique_ptr<S2Server> server = Create(std::move(engine), options);
   S2_RETURN_NOT_OK(server->RestoreFromSnapshot(checkpoint));
   S2_RETURN_NOT_OK(server->OpenWal());
   return server;
@@ -196,13 +164,8 @@ Status S2Server::RestoreFromSnapshot(
   // re-arming against the rebuilt window.
   for (const monitor::SubscriptionRegistry::Entry& entry :
        loaded.snapshot.subscriptions) {
-    if (is_sharded()) {
-      S2_RETURN_NOT_OK(sharded_->RestoreSubscription(entry.sub, entry.engaged,
-                                                     entry.bin));
-    } else {
-      S2_RETURN_NOT_OK(engine_->RestoreSubscription(
-          entry.sub.series, entry.sub, entry.engaged, entry.bin));
-    }
+    S2_RETURN_NOT_OK(
+        engine_.RestoreSubscription(entry.sub, entry.engaged, entry.bin));
   }
   alert_queue_.Restore(loaded.snapshot.alerts);
   next_subscription_id_ = loaded.snapshot.next_subscription_id;
@@ -219,14 +182,11 @@ Status S2Server::RestoreFromSnapshot(
   return Status::OK();
 }
 
-S2Server::S2Server(std::optional<core::S2Engine> engine,
-                   std::optional<shard::ShardedEngine> sharded,
-                   const Options& options)
-    : engine_(std::move(engine)),
-      sharded_(std::move(sharded)),
-      options_(options),
+S2Server::S2Server(shard::ShardedEngine engine, const Options& options)
+    : options_(options),
       cache_(options.cache_capacity, &metrics_),
       breaker_(options.breaker),
+      engine_(std::move(engine)),
       engine_calls_(metrics_.counter("server_engine_calls")),
       degraded_(metrics_.counter("server_degraded")),
       shed_(metrics_.counter("server_shed")),
@@ -262,14 +222,10 @@ S2Server::S2Server(std::optional<core::S2Engine> engine,
       checkpoint_gc_snapshots_(metrics_.counter("checkpoint_gc_snapshots")),
       checkpoint_latency_(metrics_.histogram("checkpoint_latency")),
       alert_queue_(monitor::AlertQueue::Options{options.alert_queue_capacity}) {
-  // Every shard (or the single engine) pushes fired alerts into the one
-  // server-owned queue; appends are serialized by the writer lock, so
-  // sequence numbers are assigned in a shard-count-invisible order.
-  if (engine_.has_value()) {
-    engine_->set_alert_queue(&alert_queue_);
-  } else {
-    sharded_->set_alert_queue(&alert_queue_);
-  }
+  // Every shard pushes fired alerts into the one server-owned queue;
+  // appends are serialized by the writer lock, so sequence numbers are
+  // assigned in a shard-count-invisible order.
+  engine_.set_alert_queue(&alert_queue_);
   // Checkpoints live next to the WAL and require one.
   if (options.checkpoint_enabled && !options.wal_path.empty()) {
     checkpoint_store_ = std::make_unique<ckpt::CheckpointStore>(
@@ -290,72 +246,27 @@ S2Server::S2Server(std::optional<core::S2Engine> engine,
 }
 
 void S2Server::Dispatch(const QueryRequest& request, QueryResponse* response) {
-  if (!is_sharded()) {
-    switch (request.kind) {
-      case RequestKind::kSimilarTo:
-        Fill(engine_->SimilarTo(request.id, request.k), &response->neighbors,
-             response);
-        break;
-      case RequestKind::kSimilarToDtw:
-        Fill(engine_->SimilarToDtw(request.id, request.k), &response->neighbors,
-             response);
-        break;
-      case RequestKind::kPeriodsOf:
-        Fill(engine_->FindPeriods(request.id), &response->periods, response);
-        break;
-      case RequestKind::kBurstsOf:
-        Fill(engine_->BurstsOf(request.id, request.horizon), &response->bursts,
-             response);
-        break;
-      case RequestKind::kQueryByBurst:
-        Fill(engine_->QueryByBurst(request.id, request.k, request.horizon),
-             &response->burst_matches, response);
-        break;
-      case RequestKind::kApproxKnn: {
-        approx::QueryParams params;
-        params.k = request.k;
-        params.recall_target = request.recall_target;
-        params.max_candidates = request.max_candidates;
-        auto result = engine_->ApproxKnn(request.id, params);
-        if (result.ok()) {
-          core::S2Engine::ApproxAnswer answer = std::move(result).ValueOrDie();
-          response->neighbors = std::move(answer.neighbors);
-          response->quality = answer.bound;
-          response->approximate = true;
-          approx_queries_->Increment();
-          if (answer.bound.guaranteed_exact) approx_guaranteed_->Increment();
-          approx_candidates_->Record(answer.bound.candidates);
-        } else {
-          response->status = result.status();
-        }
-        break;
-      }
-    }
-    return;
-  }
-
   shard::ShardedEngine::QueryStats stats;
   switch (request.kind) {
     case RequestKind::kSimilarTo:
-      Fill(sharded_->SimilarTo(request.id, request.k, &stats),
+      Fill(engine_.SimilarTo(request.id, request.k, &stats),
            &response->neighbors, response);
       break;
     case RequestKind::kSimilarToDtw:
-      Fill(sharded_->SimilarToDtw(request.id, request.k, &stats),
+      Fill(engine_.SimilarToDtw(request.id, request.k, &stats),
            &response->neighbors, response);
       break;
     case RequestKind::kPeriodsOf:
-      Fill(sharded_->FindPeriods(request.id), &response->periods, response);
+      Fill(engine_.FindPeriods(request.id), &response->periods, response);
       stats.fanout = 1;  // Owner-routed.
       break;
     case RequestKind::kBurstsOf:
-      Fill(sharded_->BurstsOf(request.id, request.horizon), &response->bursts,
+      Fill(engine_.BurstsOf(request.id, request.horizon), &response->bursts,
            response);
       stats.fanout = 1;  // Owner-routed.
       break;
     case RequestKind::kQueryByBurst:
-      Fill(sharded_->QueryByBurst(request.id, request.k, request.horizon,
-                                  &stats),
+      Fill(engine_.QueryByBurst(request.id, request.k, request.horizon, &stats),
            &response->burst_matches, response);
       break;
     case RequestKind::kApproxKnn: {
@@ -363,7 +274,7 @@ void S2Server::Dispatch(const QueryRequest& request, QueryResponse* response) {
       params.k = request.k;
       params.recall_target = request.recall_target;
       params.max_candidates = request.max_candidates;
-      auto result = sharded_->ApproxKnn(request.id, params, &stats);
+      auto result = engine_.ApproxKnn(request.id, params, &stats);
       if (result.ok()) {
         core::S2Engine::ApproxAnswer answer = std::move(result).ValueOrDie();
         response->neighbors = std::move(answer.neighbors);
@@ -426,9 +337,8 @@ QueryResponse S2Server::Execute(const QueryRequest& request) {
       // the probe slot and shed all future traffic forever.
       breaker_.RecordNonFailure();
     }
+    SyncResilienceMetrics();
   }
-
-  SyncResilienceMetrics();
   return response;
 }
 
@@ -448,9 +358,7 @@ QueryResponse S2Server::Degrade(const QueryRequest& request,
         params.k = request.k;
         params.recall_target = request.recall_target;
         params.max_candidates = request.max_candidates;
-        auto result = is_sharded()
-                          ? sharded_->ApproxKnn(request.id, params)
-                          : engine_->ApproxKnn(request.id, params);
+        auto result = engine_.ApproxKnn(request.id, params);
         if (result.ok()) {
           core::S2Engine::ApproxAnswer answer = std::move(result).ValueOrDie();
           fallback.neighbors = std::move(answer.neighbors);
@@ -467,13 +375,11 @@ QueryResponse S2Server::Degrade(const QueryRequest& request,
         // The approximate tier is disabled or unusable: fall through to the
         // exact RAM scan, rung 2b.
       }
-      Fill(is_sharded() ? sharded_->SimilarToExact(request.id, request.k)
-                        : engine_->SimilarToExact(request.id, request.k),
-           &fallback.neighbors, &fallback);
+      Fill(engine_.SimilarToExact(request.id, request.k), &fallback.neighbors,
+           &fallback);
       break;
     case RequestKind::kSimilarToDtw:
-      Fill(is_sharded() ? sharded_->SimilarToDtwExact(request.id, request.k)
-                        : engine_->SimilarToDtwExact(request.id, request.k),
+      Fill(engine_.SimilarToDtwExact(request.id, request.k),
            &fallback.neighbors, &fallback);
       break;
     default:
@@ -491,16 +397,8 @@ void S2Server::SyncResilienceMetrics() {
   // Read the source counters before taking export_mu_: the breaker's mutex
   // (kCircuitBreaker) ranks below kMetricsExport, so the locks must be
   // sequential, not nested — same shape as SyncMonitorMetrics.
-  uint64_t retries = 0;
-  uint64_t giveups = 0;
-  if (is_sharded()) {
-    retries = sharded_->TotalRetryCount();
-    giveups = sharded_->TotalGiveupCount();
-  } else if (const resilience::RetryingSequenceSource* rs =
-                 engine_->retry_source()) {
-    retries = rs->retry_count();
-    giveups = rs->giveup_count();
-  }
+  const uint64_t retries = engine_.TotalRetryCount();
+  const uint64_t giveups = engine_.TotalGiveupCount();
   const uint64_t trips = breaker_.trip_count();
   sync::MutexLock lock(&export_mu_);
   retry_attempts_->Increment(retries - exported_retries_);
@@ -513,32 +411,18 @@ void S2Server::SyncResilienceMetrics() {
 
 Result<ts::SeriesId> S2Server::AddSeries(ts::TimeSeries series) {
   sync::WriterMutexLock lock(&engine_mu_);
-  ts::SeriesId id = ts::kInvalidSeriesId;
-  if (is_sharded()) {
-    // The sharded engine routes to its least-loaded shard itself.
-    S2_ASSIGN_OR_RETURN(id, sharded_->AddSeries(std::move(series)));
-    S2_DCHECK_OK(sharded_->ValidateInvariants());
-  } else {
-    S2_ASSIGN_OR_RETURN(id, engine_->AddSeries(std::move(series)));
-    // Checked builds re-validate the whole engine while no reader can
-    // observe it (we still hold the writer lock).
-    S2_DCHECK_OK(engine_->ValidateInvariants());
-  }
+  // The engine routes to its least-loaded shard itself.
+  S2_ASSIGN_OR_RETURN(const ts::SeriesId id,
+                      engine_.AddSeries(std::move(series)));
+  // Checked builds re-validate the whole engine while no reader can observe
+  // it (we still hold the writer lock).
+  S2_DCHECK_OK(engine_.ValidateInvariants());
   // Invalidate while still holding the writer lock: a reader admitted after
   // us must not see a stale answer re-inserted for the old corpus. Only the
   // answers a new series can change are dropped — cached periods/bursts of
   // existing series are untouched by an append and survive.
   cache_.InvalidateCrossSeries();
   return id;
-}
-
-Status S2Server::EngineAppend(ts::SeriesId id, double value) {
-  return is_sharded() ? sharded_->AppendPoint(id, value)
-                      : engine_->AppendPoint(id, value);
-}
-
-size_t S2Server::EngineDeltaSize() const {
-  return is_sharded() ? sharded_->TotalDeltaSize() : engine_->delta_size();
 }
 
 Status S2Server::ApplyMonitorOpsUpTo(uint64_t upto, ReplayState* state) {
@@ -555,7 +439,7 @@ Status S2Server::ReplayWalRecord(const stream::WalRecord& record,
   // OpenWal holds the writer lock across the whole replay; see the header
   // for why this function opts out of the static analysis.
   S2_RETURN_NOT_OK(ApplyMonitorOpsUpTo(state->applied_appends, state));
-  S2_RETURN_NOT_OK(EngineAppend(record.series_id, record.value));
+  S2_RETURN_NOT_OK(engine_.AppendPoint(record.series_id, record.value));
   ++state->applied_appends;
   return Status::OK();
 }
@@ -627,41 +511,16 @@ Status S2Server::OpenWal() {
   return Status::OK();
 }
 
-Status S2Server::EngineSubscribe(monitor::Subscription sub) {
-  if (is_sharded()) return sharded_->Subscribe(std::move(sub));
-  const ts::SeriesId key = sub.series;
-  return engine_->Subscribe(key, std::move(sub));
-}
-
-Status S2Server::EngineUnsubscribe(monitor::SubscriptionId id) {
-  return is_sharded() ? sharded_->Unsubscribe(id) : engine_->Unsubscribe(id);
-}
-
-bool S2Server::EngineHasSubscription(monitor::SubscriptionId id) const {
-  if (is_sharded()) {
-    for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-      if (sharded_->shard(s).monitor_registry().Contains(id)) return true;
-    }
-    return false;
-  }
-  return engine_->monitor_registry().Contains(id);
-}
-
-size_t S2Server::EngineSubscriptionCount() const {
-  return is_sharded() ? sharded_->ActiveSubscriptionCount()
-                      : engine_->monitor_registry().size();
-}
-
 Status S2Server::ApplyMonitorOp(const monitor::MonitorOp& op) {
   switch (op.op) {
     case monitor::MonitorOp::Kind::kSubscribe:
-      S2_RETURN_NOT_OK(EngineSubscribe(op.sub));
+      S2_RETURN_NOT_OK(engine_.Subscribe(op.sub));
       if (op.sub.id >= next_subscription_id_) {
         next_subscription_id_ = op.sub.id + 1;
       }
       return Status::OK();
     case monitor::MonitorOp::Kind::kUnsubscribe:
-      return EngineUnsubscribe(op.sub.id);
+      return engine_.Unsubscribe(op.sub.id);
     case monitor::MonitorOp::Kind::kAck:
       alert_queue_.Ack(op.ack_upto);
       return Status::OK();
@@ -680,11 +539,11 @@ Result<monitor::SubscriptionId> S2Server::Subscribe(monitor::Subscription sub) {
   // second: a caller error never reaches the log, and a log failure rolls
   // the registration back — the subscription is only acknowledged once it
   // is both armed and durable.
-  S2_RETURN_NOT_OK(EngineSubscribe(sub));
+  S2_RETURN_NOT_OK(engine_.Subscribe(sub));
   if (monitor_wal_ != nullptr) {
     const Status logged = monitor_wal_->Append(op);
     if (!logged.ok()) {
-      (void)EngineUnsubscribe(sub.id);
+      (void)engine_.Unsubscribe(sub.id);
       return logged;
     }
   }
@@ -697,7 +556,7 @@ Status S2Server::Unsubscribe(monitor::SubscriptionId id) {
   sync::WriterMutexLock lock(&engine_mu_);
   // Validate before logging, like AppendPoint: a cancellation of an unknown
   // id must not poison the log for every future replay.
-  if (!EngineHasSubscription(id)) {
+  if (!engine_.HasSubscription(id)) {
     return Status::NotFound("S2Server: no subscription with id " +
                             std::to_string(id));
   }
@@ -708,7 +567,7 @@ Status S2Server::Unsubscribe(monitor::SubscriptionId id) {
     op.sub.id = id;
     S2_RETURN_NOT_OK(monitor_wal_->Append(op));
   }
-  S2_RETURN_NOT_OK(EngineUnsubscribe(id));
+  S2_RETURN_NOT_OK(engine_.Unsubscribe(id));
   monitor_unsubscribes_->Increment();
   return Status::OK();
 }
@@ -756,7 +615,7 @@ S2Server::MonitorInfo S2Server::monitor_info() {
   info.wal_enabled = monitor_wal_ != nullptr;
   info.replayed_ops = replayed_monitor_ops_;
   info.replay_dropped_bytes = monitor_replay_dropped_bytes_;
-  info.active_subscriptions = EngineSubscriptionCount();
+  info.active_subscriptions = engine_.ActiveSubscriptionCount();
   const monitor::AlertQueue::Stats stats = alert_queue_.stats();
   info.queue_depth = stats.depth;
   info.next_seq = stats.next_seq;
@@ -777,9 +636,7 @@ Status S2Server::AppendPoint(ts::SeriesId id, double value) {
   if (!std::isfinite(value)) {
     return Status::InvalidArgument("S2Server: appended value must be finite");
   }
-  const size_t corpus_size = is_sharded() ? sharded_->size()
-                                          : engine_->corpus().size();
-  if (id >= corpus_size) {
+  if (id >= engine_.size()) {
     return Status::NotFound("S2Server: no series with id " + std::to_string(id));
   }
   if (wal_ != nullptr) {
@@ -787,7 +644,7 @@ Status S2Server::AppendPoint(ts::SeriesId id, double value) {
     // contract) and the engine was never touched — the caller may retry.
     S2_RETURN_NOT_OK(wal_->Append({id, value}));
   }
-  const Status applied = EngineAppend(id, value);
+  const Status applied = engine_.AppendPoint(id, value);
   // Even a failed apply may have moved state (the engine's rollback is
   // best-effort on disk faults), so drop the affected cache entries either
   // way — while still holding the writer lock, for the same reason as
@@ -805,13 +662,13 @@ Status S2Server::AppendPoint(ts::SeriesId id, double value) {
 Status S2Server::Compact() {
   const Clock::time_point start = Clock::now();
   sync::WriterMutexLock lock(&engine_mu_);
-  const size_t before = EngineDeltaSize();
+  const size_t before = engine_.TotalDeltaSize();
   if (before == 0) return Status::OK();
-  S2_RETURN_NOT_OK(is_sharded() ? sharded_->Compact() : engine_->Compact());
+  S2_RETURN_NOT_OK(engine_.Compact());
   // No cache invalidation: compaction moves series between tiers without
   // changing any answer (the two-tier search is exact).
   stream_compactions_->Increment();
-  stream_compacted_series_->Increment(before - EngineDeltaSize());
+  stream_compacted_series_->Increment(before - engine_.TotalDeltaSize());
   stream_compaction_latency_->Record(
       static_cast<uint64_t>(Since(start).count()));
   return Status::OK();
@@ -822,7 +679,7 @@ void S2Server::MaybeScheduleCompaction() {
   // The caller holds the exclusive engine lock, so this delta-size snapshot
   // and the inflight-flag transition are one atomic scheduling step — no
   // append can interleave between the check and the claim.
-  if (EngineDeltaSize() < options_.compaction_threshold) return;
+  if (engine_.TotalDeltaSize() < options_.compaction_threshold) return;
   // At most one background compaction in flight. Appends that cross the
   // threshold while one runs skip scheduling here; BackgroundCompaction's
   // locked re-check before releasing the flag picks their delta up.
@@ -848,7 +705,7 @@ void S2Server::BackgroundCompaction() {
     // threshold forever once appends stopped.
     sync::WriterMutexLock lock(&engine_mu_);
     if (!status.ok() ||
-        EngineDeltaSize() < options_.compaction_threshold) {
+        engine_.TotalDeltaSize() < options_.compaction_threshold) {
       compaction_inflight_.store(false, std::memory_order_release);
       return;
     }
@@ -873,24 +730,17 @@ Status S2Server::CaptureSnapshot(
   snapshot->anchor_monitor_ops =
       monitor_wal_ != nullptr ? monitor_wal_->record_count() : 0;
   snapshot->next_subscription_id = next_subscription_id_;
-  if (is_sharded()) {
-    const size_t n = sharded_->size();
-    snapshot->corpus.reserve(n);
-    for (size_t id = 0; id < n; ++id) {
-      S2_ASSIGN_OR_RETURN(const ts::TimeSeries* series,
-                          sharded_->Series(static_cast<ts::SeriesId>(id)));
-      snapshot->corpus.push_back(*series);
-    }
-    snapshot->subscriptions = sharded_->ListSubscriptions();
-    for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-      shard_checksums->push_back(ckpt::CheckpointStore::CorpusChecksum(
-          sharded_->shard(s).corpus().series()));
-    }
-  } else {
-    snapshot->corpus = engine_->corpus().series();
-    snapshot->subscriptions = engine_->monitor_registry().List();
-    shard_checksums->push_back(
-        ckpt::CheckpointStore::CorpusChecksum(snapshot->corpus));
+  const size_t n = engine_.size();
+  snapshot->corpus.reserve(n);
+  for (size_t id = 0; id < n; ++id) {
+    S2_ASSIGN_OR_RETURN(const ts::TimeSeries* series,
+                        engine_.Series(static_cast<ts::SeriesId>(id)));
+    snapshot->corpus.push_back(*series);
+  }
+  snapshot->subscriptions = engine_.ListSubscriptions();
+  for (size_t s = 0; s < engine_.num_shards(); ++s) {
+    shard_checksums->push_back(ckpt::CheckpointStore::CorpusChecksum(
+        engine_.shard(s).corpus().series()));
   }
   snapshot->alerts = alert_queue_.Snapshot();
   for (const io::walseg::SegmentInfo& seg : wal_->segments()) {
@@ -917,7 +767,8 @@ Status S2Server::DoCheckpoint() {
   // are the expensive part, and appends continue meanwhile (only this
   // maintenance thread removes segments, so the captured lists stay a
   // valid point-in-time prefix of the live state).
-  const uint64_t shard_count = is_sharded() ? sharded_->num_shards() : 1;
+  // CaptureSnapshot records one checksum per shard.
+  const uint64_t shard_count = shard_checksums.size();
   ckpt::Manifest manifest;
   S2_RETURN_NOT_OK(checkpoint_store_->Commit(
       snapshot, shard_count, std::move(shard_checksums),
@@ -1031,30 +882,26 @@ void S2Server::Shutdown() {
 S2Server::ApproxInfo S2Server::approx_info() {
   sync::ReaderMutexLock lock(&engine_mu_);
   ApproxInfo info;
-  if (is_sharded()) {
-    for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-      const approx::SummaryIndex* summary = sharded_->shard(s).summary();
-      if (summary == nullptr) return ApproxInfo{};
-      if (s == 0) {
-        info.enabled = true;
-        info.summary_dims = summary->config().dims;
-        info.summary_cells = summary->config().cells;
-        info.config_fingerprint = summary->config().Fingerprint();
-      }
-      info.summary_bytes += summary->SummaryBytes();
-      info.indexed_series += summary->size();
+  for (size_t s = 0; s < engine_.num_shards(); ++s) {
+    const approx::SummaryIndex* summary = engine_.shard(s).summary();
+    if (summary == nullptr) return ApproxInfo{};
+    if (s == 0) {
+      info.enabled = true;
+      info.summary_dims = summary->config().dims;
+      info.summary_cells = summary->config().cells;
+      info.config_fingerprint = summary->config().Fingerprint();
     }
-    return info;
+    info.summary_bytes += summary->SummaryBytes();
+    info.indexed_series += summary->size();
   }
-  const approx::SummaryIndex* summary = engine_->summary();
-  if (summary == nullptr) return info;
-  info.enabled = true;
-  info.summary_dims = summary->config().dims;
-  info.summary_cells = summary->config().cells;
-  info.summary_bytes = summary->SummaryBytes();
-  info.indexed_series = summary->size();
-  info.config_fingerprint = summary->config().Fingerprint();
   return info;
+}
+
+const core::S2Engine& S2Server::engine() const {
+  S2_CHECK(engine_.num_shards() == 1)
+      << "S2Server::engine() on a server of " << engine_.num_shards()
+      << " shards; use sharded()";
+  return engine_.shard(0);
 }
 
 S2Server::StreamInfo S2Server::stream_info() {
@@ -1064,14 +911,9 @@ S2Server::StreamInfo S2Server::stream_info() {
   info.replayed_records = replayed_records_;
   info.replay_dropped_bytes = replay_dropped_bytes_;
   info.replay_time = replay_time_;
-  info.delta_size = EngineDeltaSize();
-  if (is_sharded()) {
-    info.append_count = sharded_->TotalAppendCount();
-    info.compaction_count = sharded_->TotalCompactionCount();
-  } else {
-    info.append_count = engine_->append_count();
-    info.compaction_count = engine_->compaction_count();
-  }
+  info.delta_size = engine_.TotalDeltaSize();
+  info.append_count = engine_.TotalAppendCount();
+  info.compaction_count = engine_.TotalCompactionCount();
   return info;
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "base/sync.h"
@@ -24,10 +23,10 @@
 
 namespace s2::service {
 
-/// The concurrent query server: wraps a built `S2Engine` with a thread
-/// pool + scheduler (admission control, deadlines, cancellation), an LRU
-/// result cache and a metrics registry — the serving substrate the paper's
-/// interactive S2 tool would need at MSN-log scale.
+/// The concurrent query server: wraps a built `shard::ShardedEngine` with a
+/// thread pool + scheduler (admission control, deadlines, cancellation), an
+/// LRU result cache and a metrics registry — the serving substrate the
+/// paper's interactive S2 tool would need at MSN-log scale.
 ///
 /// Concurrency model: query execution takes the engine lock in shared mode
 /// (the engine's const read paths are reentrant — see the contracts in
@@ -37,12 +36,13 @@ namespace s2::service {
 /// returning. Cache hits bypass the engine entirely: no lock, no VP-tree
 /// traversal, no sequence-store reads.
 ///
-/// The server runs over either a single `core::S2Engine` or a
-/// `shard::ShardedEngine` (scatter-gather over N shards) — chosen at
-/// construction, invisible to callers: same verbs, same answers (the shard
-/// layer's equivalence tests prove bit-identical results), plus fan-out
-/// metrics (`server_shard_fanout`, `server_shard_latency`,
-/// `server_shard_prune_hits`) in sharded mode.
+/// There is one topology: the server always runs a `shard::ShardedEngine`
+/// (scatter-gather over N shards). A corpus that is not partitioned is a
+/// single shard whose fan-out runs inline on the calling thread. The shard
+/// count is invisible to callers: same verbs, same answers (the shard
+/// layer's equivalence tests prove them bit-identical to one `S2Engine`),
+/// and every request reports fan-out metrics (`server_shard_fanout`,
+/// `server_shard_latency`, `server_shard_prune_hits`).
 ///
 /// ## Degradation ladder (DESIGN.md §6)
 ///
@@ -76,11 +76,13 @@ class S2Server {
     /// knob never take this rung (they asked for exact answers and get the
     /// exact-scan fallback, bit-identical to before this rung existed).
     bool degrade_to_approx = true;
-    /// Engine topology used by the corpus-building `Build` factory:
-    /// 1 = one engine over the whole corpus; N > 1 = N shards with
-    /// scatter-gather execution; 0 = one shard per hardware thread.
+    /// Shard count of the engine the `Build` and `Recover` factories build:
+    /// 1 = one shard over the whole corpus, searched inline on the calling
+    /// thread; N > 1 = N shards with scatter-gather execution; 0 = one
+    /// shard per hardware thread.
     size_t shards = 1;
-    /// Forwarded to `shard::ShardedEngine::Options` when `shards != 1`.
+    /// Per-shard filesystem overrides, forwarded to
+    /// `shard::ShardedEngine::Options::shard_envs`.
     std::vector<io::Env*> shard_envs;
 
     // --- Streaming ---------------------------------------------------------
@@ -191,16 +193,12 @@ class S2Server {
 
   ApproxInfo approx_info() S2_EXCLUDES(engine_mu_);
 
-  /// Takes ownership of a built single engine.
-  static std::unique_ptr<S2Server> Create(core::S2Engine engine,
-                                          const Options& options);
-
-  /// Takes ownership of a built sharded engine.
+  /// Takes ownership of a built engine.
   static std::unique_ptr<S2Server> Create(shard::ShardedEngine engine,
                                           const Options& options);
 
-  /// Builds the engine from a corpus, picking the topology from
-  /// `options.shards`, and wraps it in a server.
+  /// Builds an engine of `options.shards` shards from a corpus and wraps it
+  /// in a server.
   static Result<std::unique_ptr<S2Server>> Build(
       ts::Corpus corpus, const core::S2Engine::Options& engine_options,
       const Options& options);
@@ -328,13 +326,16 @@ class S2Server {
   /// Idempotent.
   void Shutdown() S2_EXCLUDES(engine_mu_);
 
-  /// True when the server runs scatter-gather over shards.
-  bool is_sharded() const { return sharded_.has_value(); }
+  // Unlocked views of the engine for tests, benches and tools; a caller
+  // must not read through them while a writer verb runs.
 
-  /// The single engine; only valid when `!is_sharded()`.
-  const core::S2Engine& engine() const { return *engine_; }
-  /// The sharded engine; only valid when `is_sharded()`.
-  const shard::ShardedEngine& sharded() const { return *sharded_; }
+  /// The engine every verb runs on.
+  const shard::ShardedEngine& sharded() const S2_NO_THREAD_SAFETY_ANALYSIS {
+    return engine_;
+  }
+  /// The one shard of a one-shard server. Fails an `S2_CHECK` when the
+  /// server runs more than one shard (and then returns shard 0).
+  const core::S2Engine& engine() const S2_NO_THREAD_SAFETY_ANALYSIS;
 
   MetricsRegistry& metrics() { return metrics_; }
   ResultCache& cache() { return cache_; }
@@ -345,11 +346,10 @@ class S2Server {
   std::string MetricsText() const { return metrics_.TextSnapshot(); }
 
  private:
-  S2Server(std::optional<core::S2Engine> engine,
-           std::optional<shard::ShardedEngine> sharded, const Options& options);
+  S2Server(shard::ShardedEngine engine, const Options& options);
 
-  /// Runs the request against whichever engine is live; fills `response`.
-  /// Sharded execution also exports fan-out/latency/prune metrics.
+  /// Runs the request against the engine; fills `response` and exports the
+  /// fan-out/latency/prune metrics.
   void Dispatch(const QueryRequest& request, QueryResponse* response)
       S2_REQUIRES_SHARED(engine_mu_);
 
@@ -361,14 +361,8 @@ class S2Server {
 
   /// Folds the engine-level retry counters and breaker trip count into the
   /// metrics registry (counters are increment-only, so this exports deltas).
-  void SyncResilienceMetrics() S2_EXCLUDES(export_mu_);
-
-  /// Routes an append to whichever engine is live (owner shard when
-  /// sharded).
-  Status EngineAppend(ts::SeriesId id, double value) S2_REQUIRES(engine_mu_);
-
-  /// Series currently in delta tiers, summed over shards.
-  size_t EngineDeltaSize() const S2_REQUIRES_SHARED(engine_mu_);
+  void SyncResilienceMetrics() S2_REQUIRES_SHARED(engine_mu_)
+      S2_EXCLUDES(export_mu_);
 
   /// Schedules the background compaction task when the delta tier has
   /// crossed the threshold and none is already in flight. Caller holds the
@@ -383,15 +377,6 @@ class S2Server {
   /// was set), so clearing without the locked re-check would strand their
   /// delta above threshold forever once appends stop (missed wakeup).
   void BackgroundCompaction() S2_EXCLUDES(engine_mu_);
-
-  /// Routes a subscription/cancellation to whichever engine is live (owner
-  /// shard when sharded).
-  Status EngineSubscribe(monitor::Subscription sub) S2_REQUIRES(engine_mu_);
-  Status EngineUnsubscribe(monitor::SubscriptionId id)
-      S2_REQUIRES(engine_mu_);
-  bool EngineHasSubscription(monitor::SubscriptionId id) const
-      S2_REQUIRES_SHARED(engine_mu_);
-  size_t EngineSubscriptionCount() const S2_REQUIRES_SHARED(engine_mu_);
 
   /// Applies one replayed monitor-WAL op.
   Status ApplyMonitorOp(const monitor::MonitorOp& op)
@@ -453,22 +438,17 @@ class S2Server {
   Status RestoreFromSnapshot(const ckpt::CheckpointStore::Loaded& loaded)
       S2_EXCLUDES(engine_mu_);
 
-  // Exactly one of these is engaged, chosen at construction, and never
-  // re-seated afterwards — the optionals themselves are effectively const
-  // (so they stay unannotated); the *engine state inside them* is protected
-  // by engine_mu_, which the Engine* helpers' REQUIRES annotations express.
-  std::optional<core::S2Engine> engine_;
-  std::optional<shard::ShardedEngine> sharded_;
   Options options_;
   MetricsRegistry metrics_;
   ResultCache cache_;
   resilience::CircuitBreaker breaker_;
   sync::SharedMutex engine_mu_{sync::LockRank::kEngineState,
                                "service::S2Server::engine"};
+  shard::ShardedEngine engine_ S2_GUARDED_BY(engine_mu_);
   Counter* engine_calls_ = nullptr;  ///< Executions that reached the engine.
   Counter* degraded_ = nullptr;      ///< Requests answered by the fallback.
   Counter* shed_ = nullptr;          ///< Requests rejected while open.
-  // Sharded-execution metrics (registered always, moved only when sharded).
+  // Fan-out metrics.
   Counter* shard_fanout_ = nullptr;      ///< Shard searches issued, total.
   Counter* shard_prune_hits_ = nullptr;  ///< Cross-shard prune decisions.
   LatencyHistogram* shard_latency_ = nullptr;  ///< Per-shard search time.

@@ -73,9 +73,11 @@ Result<ShardedEngine> ShardedEngine::Build(ts::Corpus corpus,
   // coordinate ranks and quantization breakpoints become a pure function of
   // the corpus, never of the shard layout, which is what makes the
   // approximate tier's candidate sets and quality bounds bit-identical
-  // across shard counts. Every shard engine adopts this config verbatim.
+  // across shard counts. Every shard engine adopts this config verbatim. A
+  // single shard trains on the same rows in the same order itself, so it
+  // skips this copy of the standardized corpus.
   core::S2Engine::Options engine_options = options.engine;
-  if (engine_options.approx.enabled &&
+  if (n > 1 && engine_options.approx.enabled &&
       engine_options.approx.preset_config == nullptr) {
     std::vector<std::vector<double>> standardized;
     standardized.reserve(corpus.size());
@@ -91,49 +93,44 @@ Result<ShardedEngine> ShardedEngine::Build(ts::Corpus corpus,
   }
 
   ShardedEngine engine;
-  engine.pool_ = std::make_unique<exec::ThreadPool>(
-      options.threads == 0 ? n : options.threads);
+  // ScatterGather runs shard 0 on the calling thread, so the pool needs one
+  // worker per other shard, and none for a single shard.
+  if (n > 1) engine.pool_ = std::make_unique<exec::ThreadPool>(n - 1);
   engine.local_to_global_.resize(n);
   engine.placements_.reserve(corpus.size());
 
-  // Round-robin split. Copies the series into per-shard corpora (the
-  // engines own their slices); the original corpus is released afterwards.
+  // Round-robin split. Each series moves into its slice (the engines own
+  // their slices), so the corpus is never held twice.
   std::vector<ts::Corpus> slices(n);
   for (ts::SeriesId g = 0; g < corpus.size(); ++g) {
     const auto shard_idx = static_cast<uint32_t>(g % n);
-    const ts::SeriesId local = slices[shard_idx].Add(corpus.at(g));
+    const ts::SeriesId local = slices[shard_idx].Add(std::move(corpus.at(g)));
     engine.placements_.push_back({shard_idx, local});
     engine.local_to_global_[shard_idx].push_back(g);
   }
 
-  // Parallel shard builds (index construction dominates; each build is
-  // independent). A rejected Submit cannot happen on a fresh pool, but the
-  // contract says handle it — run inline.
+  // Shard builds are independent (index construction dominates); shard 0
+  // builds on the calling thread, so a one-shard build starts no thread.
   engine.shards_.resize(n);
   std::vector<Status> statuses(n);
-  std::latch done(static_cast<ptrdiff_t>(n));
-  for (size_t s = 0; s < n; ++s) {
-    auto build_one = [&engine, &slices, &statuses, &options, &engine_options,
-                      &done, s] {
-      core::S2Engine::Options shard_options = engine_options;
-      if (!shard_options.disk_store_path.empty()) {
-        shard_options.disk_store_path += ".shard" + std::to_string(s);
-      }
-      if (s < options.shard_envs.size() && options.shard_envs[s] != nullptr) {
-        shard_options.env = options.shard_envs[s];
-      }
-      auto built = core::S2Engine::Build(std::move(slices[s]), shard_options);
-      if (built.ok()) {
-        engine.shards_[s] =
-            std::make_unique<core::S2Engine>(std::move(built).ValueOrDie());
-      } else {
-        statuses[s] = built.status();
-      }
-      done.count_down();
-    };
-    if (!engine.pool_->Submit(build_one)) build_one();
-  }
-  done.wait();
+  engine.ScatterGather(
+      [&](size_t s) {
+        core::S2Engine::Options shard_options = engine_options;
+        if (!shard_options.disk_store_path.empty()) {
+          shard_options.disk_store_path += ".shard" + std::to_string(s);
+        }
+        if (s < options.shard_envs.size() && options.shard_envs[s] != nullptr) {
+          shard_options.env = options.shard_envs[s];
+        }
+        auto built = core::S2Engine::Build(std::move(slices[s]), shard_options);
+        if (built.ok()) {
+          engine.shards_[s] =
+              std::make_unique<core::S2Engine>(std::move(built).ValueOrDie());
+        } else {
+          statuses[s] = built.status();
+        }
+      },
+      nullptr);
   for (const Status& status : statuses) S2_RETURN_NOT_OK(status);
 
   S2_DCHECK_OK(engine.ValidateInvariants());

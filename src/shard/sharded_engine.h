@@ -36,7 +36,10 @@ namespace s2::shard {
 /// ## Scatter-gather with a shared pruning radius
 ///
 /// Every similarity verb standardizes (or fetches) the query row ONCE, then
-/// searches all shards concurrently on the internal `exec::ThreadPool`. The
+/// searches all shards concurrently: shard 0 on the calling thread, the
+/// others on the internal `exec::ThreadPool`. With one shard the whole
+/// fan-out runs inline, which is how `service::S2Server` serves a corpus
+/// that is not partitioned. The
 /// searches share one `index::SharedRadius`: each shard publishes every
 /// upper bound it certifies on its own k-th distance and prunes against the
 /// tightest bound any shard has published (TSseek's shared-bound pattern).
@@ -73,9 +76,6 @@ class ShardedEngine {
     /// one shard, leave the rest healthy). Shard i uses `shard_envs[i]`
     /// when `i < shard_envs.size()`, else `engine.env`.
     std::vector<io::Env*> shard_envs;
-    /// Worker threads for shard builds and query fan-out; 0 = one per
-    /// shard. The pool is owned by the engine and lives as long as it does.
-    size_t threads = 0;
   };
 
   /// Per-query fan-out instrumentation (the server exports these).
@@ -89,8 +89,10 @@ class ShardedEngine {
     std::vector<std::chrono::microseconds> shard_latencies;
   };
 
-  /// Partitions `corpus` round-robin and builds all shard engines in
-  /// parallel on the internal pool. Fails if any shard build fails.
+  /// Partitions `corpus` round-robin, moving each series into its shard,
+  /// and builds the shard engines in parallel: shard 0 on the calling
+  /// thread, the others on the internal pool of N - 1 workers (none for one
+  /// shard). Fails if any shard build fails.
   static Result<ShardedEngine> Build(ts::Corpus corpus, const Options& options);
 
   ShardedEngine(ShardedEngine&&) noexcept = default;
@@ -154,11 +156,16 @@ class ShardedEngine {
   Status Unsubscribe(monitor::SubscriptionId id);
 
   /// Attaches one delivery queue to every shard (not owned; nullptr
-  /// detaches). The serving layer owns the queue in both topologies.
+  /// detaches). The serving layer owns the queue.
   void set_alert_queue(monitor::AlertQueue* queue);
 
   /// Active subscriptions across all shards.
   size_t ActiveSubscriptionCount() const;
+
+  /// True when some shard holds subscription `id`.
+  bool HasSubscription(monitor::SubscriptionId id) const {
+    return sub_shard_.contains(id);
+  }
 
   /// Every shard's subscriptions merged and ordered by subscription id.
   std::vector<monitor::SubscriptionRegistry::Entry> ListSubscriptions() const;

@@ -199,9 +199,4 @@ void Standardize(const double* x, size_t n, double mean, double stddev,
   ActiveTable().standardize(x, n, mean, stddev, out);
 }
 
-void SlideComplexBins(double* reim, const double* twiddles_reim, size_t bins,
-                      double delta) {
-  ActiveTable().slide_complex_bins(reim, twiddles_reim, bins, delta);
-}
-
 }  // namespace s2::simd

@@ -26,8 +26,6 @@ struct KernelTable {
                                 double limit_sq);
   void (*standardize)(const double* x, size_t n, double mean, double stddev,
                       double* out);
-  void (*slide_complex_bins)(double* reim, const double* twiddles_reim,
-                             size_t bins, double delta);
 };
 
 /// Table for one backend, or nullptr when it is not compiled in or the CPU

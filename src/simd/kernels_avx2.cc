@@ -4,52 +4,11 @@
 // when the toolchain supports it; dispatch.cc gates use on CPUID.
 #if defined(__AVX2__)
 
-#include <immintrin.h>
-
 namespace s2::simd {
-namespace {
-
-// Same lane-wise IEEE operations as detail::SlideComplexBinsGeneric, two
-// complex bins per 256-bit register:
-//   re' = (re + delta) * cr - im * ci
-//   im' =          im  * cr + (re + delta) * ci
-// The delta shift is applied with a blend (not an add of (delta, 0)):
-// adding +0.0 to a -0.0 imaginary part would flip its sign bit and break
-// bit-compatibility with the scalar spec.
-void SlideComplexBinsAvx2(double* reim, const double* twiddles_reim,
-                          size_t bins, double delta) {
-  const __m256d delta_v = _mm256_set1_pd(delta);
-  size_t i = 0;
-  for (; i + 2 <= bins; i += 2) {
-    const __m256d raw = _mm256_loadu_pd(reim + 2 * i);     // re0 im0 re1 im1
-    const __m256d shifted = _mm256_add_pd(raw, delta_v);
-    const __m256d r = _mm256_blend_pd(raw, shifted, 0x5);  // re lanes shifted
-    const __m256d t = _mm256_loadu_pd(twiddles_reim + 2 * i);
-    const __m256d t_re = _mm256_movedup_pd(t);             // cr0 cr0 cr1 cr1
-    const __m256d t_im = _mm256_permute_pd(t, 0xF);        // ci0 ci0 ci1 ci1
-    const __m256d r_swap = _mm256_permute_pd(r, 0x5);      // im0 re0 im1 re1
-    const __m256d prod_re = _mm256_mul_pd(r, t_re);
-    const __m256d prod_im = _mm256_mul_pd(r_swap, t_im);
-    _mm256_storeu_pd(reim + 2 * i, _mm256_addsub_pd(prod_re, prod_im));
-  }
-  for (; i < bins; ++i) {
-    const double re = reim[2 * i] + delta;
-    const double im = reim[2 * i + 1];
-    const double cr = twiddles_reim[2 * i];
-    const double ci = twiddles_reim[2 * i + 1];
-    reim[2 * i] = re * cr - im * ci;
-    reim[2 * i + 1] = im * cr + re * ci;
-  }
-}
-
-}  // namespace
 
 const KernelTable* Avx2Table() {
-  static const KernelTable table = [] {
-    KernelTable t = detail::MakeTable<detail::VecAvx2>(Isa::kAvx2, "avx2");
-    t.slide_complex_bins = &SlideComplexBinsAvx2;
-    return t;
-  }();
+  static const KernelTable table =
+      detail::MakeTable<detail::VecAvx2>(Isa::kAvx2, "avx2");
   return &table;
 }
 

@@ -177,23 +177,6 @@ void StandardizeImpl(const double* x, size_t n, double mean, double stddev,
   for (; j < n; ++j) out[j] = (x[j] - mean) / stddev;
 }
 
-// Naive complex product, deliberately NOT std::complex (whose __muldc3
-// NaN-recovery path would diverge from any vector backend). This scalar
-// body is the canonical spec; the AVX2 TU overrides it with a
-// blend/movedup/permute/addsub sequence that performs the exact same
-// lane-wise IEEE operations.
-inline void SlideComplexBinsGeneric(double* reim, const double* twiddles_reim,
-                                    size_t bins, double delta) {
-  for (size_t i = 0; i < bins; ++i) {
-    const double re = reim[2 * i] + delta;
-    const double im = reim[2 * i + 1];
-    const double cr = twiddles_reim[2 * i];
-    const double ci = twiddles_reim[2 * i + 1];
-    reim[2 * i] = re * cr - im * ci;
-    reim[2 * i + 1] = im * cr + re * ci;
-  }
-}
-
 template <class B>
 KernelTable MakeTable(Isa isa, const char* name) {
   KernelTable t;
@@ -206,7 +189,6 @@ KernelTable MakeTable(Isa isa, const char* name) {
   t.sum_sq_diff_abandon = &SumSqDiffAbandonImpl<B>;
   t.lb_keogh_sq_abandon = &LbKeoghSqAbandonImpl<B>;
   t.standardize = &StandardizeImpl<B>;
-  t.slide_complex_bins = &SlideComplexBinsGeneric;
   return t;
 }
 

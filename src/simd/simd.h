@@ -93,14 +93,6 @@ double LbKeoghSqAbandon(const double* lower, const double* upper,
 void Standardize(const double* x, size_t n, double mean, double stddev,
                  double* out);
 
-/// Sliding-DFT update over `bins` interleaved complex values:
-///   reim[i] = twiddle[i] * (reim[i] + delta)   (delta added to re only)
-/// using the naive complex product re' = re*cr - im*ci,
-/// im' = im*cr + re*ci (no Annex-G infinity recovery), which every
-/// backend reproduces exactly.
-void SlideComplexBins(double* reim, const double* twiddles_reim, size_t bins,
-                      double delta);
-
 /// Best-effort read prefetch hint; no-op where unsupported.
 inline void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -98,7 +98,7 @@ TEST(ApproxServerTest, FullBudgetRequestMatchesExactVerb) {
 TEST(ApproxServerTest, ShardedServerAnswersApproxKnn) {
   auto single = MakeRamServer(/*cache_capacity=*/0);
   auto sharded = MakeRamServer(/*cache_capacity=*/0, /*shards=*/4);
-  ASSERT_TRUE(sharded->is_sharded());
+  ASSERT_EQ(sharded->sharded().num_shards(), 4u);
   for (ts::SeriesId id : {0u, 13u, 40u}) {
     QueryResponse a = single->Execute(ApproxKnn(id));
     QueryResponse b = sharded->Execute(ApproxKnn(id));

@@ -2,9 +2,8 @@
 // snapshot + WAL tail must equal a full-WAL replay of the same history —
 // same corpus bytes, same standing-query hysteresis state, same alert
 // queue, same subscription-id counter — at shard counts {1,2,3}, RAM- and
-// disk-resident, exact and incremental stream maintenance, and even when
-// the checkpoint was written under a different shard count than the
-// recovery. A MemEnv crash sweep over the checkpoint commit path proves
+// disk-resident, and even when the checkpoint was written under a
+// different shard count than the recovery. A MemEnv crash sweep over the checkpoint commit path proves
 // every write/sync/rename boundary leaves a recoverable family.
 
 #include <cstdio>
@@ -40,11 +39,10 @@ ts::Corpus MakeCorpus() {
   return std::move(corpus).ValueOrDie();
 }
 
-core::S2Engine::Options EngineOptions(bool incremental) {
+core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
   options.index.budget_c = 8;
   options.index.leaf_size = 4;
-  options.stream.incremental_maintenance = incremental;
   return options;
 }
 
@@ -64,40 +62,24 @@ S2Server::Options ServerOptions(io::Env* env, const std::string& wal,
   return options;
 }
 
-std::unique_ptr<S2Server> MustBuild(const S2Server::Options& options,
-                                    bool incremental) {
-  auto server = S2Server::Build(MakeCorpus(),
-                                EngineOptions(incremental), options);
+std::unique_ptr<S2Server> MustBuild(const S2Server::Options& options) {
+  auto server = S2Server::Build(MakeCorpus(), EngineOptions(), options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(server).ValueOrDie();
 }
 
-std::unique_ptr<S2Server> MustRecover(const S2Server::Options& options,
-                                      bool incremental) {
-  auto server = S2Server::Recover(MakeCorpus(),
-                                  EngineOptions(incremental), options);
+std::unique_ptr<S2Server> MustRecover(const S2Server::Options& options) {
+  auto server = S2Server::Recover(MakeCorpus(), EngineOptions(), options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(server).ValueOrDie();
 }
 
 const ts::TimeSeries& SeriesOf(S2Server* server, ts::SeriesId id) {
-  if (server->is_sharded()) return *server->sharded().Series(id).value();
-  return server->engine().corpus().at(id);
+  return *server->sharded().Series(id).value();
 }
 
 std::vector<monitor::SubscriptionRegistry::Entry> EntriesOf(S2Server* server) {
-  std::vector<monitor::SubscriptionRegistry::Entry> entries;
-  if (server->is_sharded()) {
-    for (size_t s = 0; s < server->sharded().num_shards(); ++s) {
-      const auto shard = server->sharded().shard(s).monitor_registry().List();
-      entries.insert(entries.end(), shard.begin(), shard.end());
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.sub.id < b.sub.id; });
-  } else {
-    entries = server->engine().monitor_registry().List();
-  }
-  return entries;
+  return server->sharded().ListSubscriptions();
 }
 
 /// The interleaved workload: subscriptions of all three kinds, appends
@@ -163,9 +145,8 @@ void DriveWorkload(S2Server* server, bool checkpoint_midway) {
 }
 
 /// Recovered-vs-reference equality. Corpus, registry, queue and counter
-/// state are bitwise regardless of maintenance mode; derived features are
-/// additionally compared through Euclidean k-NN, which the engine
-/// contract keeps exact even under incremental maintenance.
+/// state are bitwise; derived features are additionally compared through
+/// Euclidean k-NN.
 void ExpectSameState(S2Server* want, S2Server* got) {
   for (ts::SeriesId id = 0; id < kNumSeries; ++id) {
     const ts::TimeSeries& a = SeriesOf(want, id);
@@ -222,7 +203,7 @@ void ExpectSameState(S2Server* want, S2Server* got) {
   ASSERT_TRUE(want_id.ok() && got_id.ok());
   EXPECT_EQ(*want_id, *got_id);
 
-  // Euclidean k-NN over the recovered features (exact in every mode).
+  // Euclidean k-NN over the recovered features.
   for (ts::SeriesId id = 0; id < kNumSeries; id += 5) {
     QueryRequest request;
     request.kind = RequestKind::kSimilarTo;
@@ -243,7 +224,6 @@ void ExpectSameState(S2Server* want, S2Server* got) {
 
 struct Topology {
   size_t shards;
-  bool incremental;
   bool on_disk;
 };
 
@@ -257,8 +237,7 @@ TEST_P(CkptEquivalenceTest, SnapshotPlusTailEqualsFullReplay) {
   std::filesystem::path dir;
   if (topo.on_disk) {
     dir = std::filesystem::temp_directory_path() /
-          ("s2_ckpt_eq_" + std::to_string(topo.shards) +
-           (topo.incremental ? "i" : "e"));
+          ("s2_ckpt_eq_" + std::to_string(topo.shards));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     wal = (dir / "wal").string();
@@ -269,7 +248,7 @@ TEST_P(CkptEquivalenceTest, SnapshotPlusTailEqualsFullReplay) {
   uint64_t total_appends = 0;
   uint64_t anchor = 0;
   {
-    std::unique_ptr<S2Server> live = MustBuild(options, topo.incremental);
+    std::unique_ptr<S2Server> live = MustBuild(options);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     DriveWorkload(live.get(), /*checkpoint_midway=*/true);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -281,7 +260,7 @@ TEST_P(CkptEquivalenceTest, SnapshotPlusTailEqualsFullReplay) {
   }
 
   // Recovery loads the snapshot and replays only the tail...
-  std::unique_ptr<S2Server> recovered = MustRecover(options, topo.incremental);
+  std::unique_ptr<S2Server> recovered = MustRecover(options);
   EXPECT_TRUE(recovered->checkpoint_info().recovered_from_checkpoint);
   EXPECT_FALSE(recovered->checkpoint_info().recovered_from_fallback);
   EXPECT_EQ(recovered->checkpoint_info().recovery_anchor_appends, anchor);
@@ -290,7 +269,7 @@ TEST_P(CkptEquivalenceTest, SnapshotPlusTailEqualsFullReplay) {
   // ...while the reference replays the whole log from scratch.
   S2Server::Options full = options;
   full.checkpoint_enabled = false;
-  std::unique_ptr<S2Server> replayed = MustBuild(full, topo.incremental);
+  std::unique_ptr<S2Server> replayed = MustBuild(full);
   EXPECT_EQ(replayed->stream_info().replayed_records, total_appends);
 
   ExpectSameState(replayed.get(), recovered.get());
@@ -299,13 +278,11 @@ TEST_P(CkptEquivalenceTest, SnapshotPlusTailEqualsFullReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Topologies, CkptEquivalenceTest,
-    ::testing::Values(Topology{1, false, false}, Topology{2, false, false},
-                      Topology{3, false, false}, Topology{1, true, false},
-                      Topology{3, true, false}, Topology{1, false, true},
-                      Topology{2, true, true}),
+    ::testing::Values(Topology{1, false}, Topology{2, false},
+                      Topology{3, false}, Topology{1, true}, Topology{2, true},
+                      Topology{3, true}),
     [](const ::testing::TestParamInfo<Topology>& info) {
       return "shards" + std::to_string(info.param.shards) +
-             (info.param.incremental ? "_incremental" : "_exact") +
              (info.param.on_disk ? "_disk" : "_ram");
     });
 
@@ -316,23 +293,23 @@ TEST(CkptRecoveryTest, CheckpointWrittenAtOneShardCountRecoversAtAnother) {
   io::MemEnv env;
   S2Server::Options at2 = ServerOptions(&env, "xtopo/wal", 2);
   {
-    std::unique_ptr<S2Server> live = MustBuild(at2, false);
+    std::unique_ptr<S2Server> live = MustBuild(at2);
     DriveWorkload(live.get(), /*checkpoint_midway=*/true);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     live->Shutdown();
   }
   S2Server::Options full = at2;
   full.checkpoint_enabled = false;
-  std::unique_ptr<S2Server> reference = MustBuild(full, false);
+  std::unique_ptr<S2Server> reference = MustBuild(full);
   for (size_t shards : {1u, 3u}) {
     SCOPED_TRACE("recover at " + std::to_string(shards) + " shards");
     S2Server::Options other = at2;
     other.shards = shards;
-    std::unique_ptr<S2Server> recovered = MustRecover(other, false);
+    std::unique_ptr<S2Server> recovered = MustRecover(other);
     EXPECT_TRUE(recovered->checkpoint_info().recovered_from_checkpoint);
     // PollAlerts/Subscribe probes in ExpectSameState mutate the reference,
     // so rebuild it per topology.
-    std::unique_ptr<S2Server> fresh = MustBuild(full, false);
+    std::unique_ptr<S2Server> fresh = MustBuild(full);
     ExpectSameState(fresh.get(), recovered.get());
   }
   (void)reference;
@@ -342,7 +319,7 @@ TEST(CkptRecoveryTest, CorruptNewestSnapshotFallsBackOneGeneration) {
   io::MemEnv env;
   const S2Server::Options options = ServerOptions(&env, "fb/wal", 1);
   {
-    std::unique_ptr<S2Server> live = MustBuild(options, false);
+    std::unique_ptr<S2Server> live = MustBuild(options);
     DriveWorkload(live.get(), /*checkpoint_midway=*/true);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     // A second checkpoint: generation 2 current, generation 1 fallback.
@@ -359,13 +336,13 @@ TEST(CkptRecoveryTest, CorruptNewestSnapshotFallsBackOneGeneration) {
     byte ^= 0x5a;
     ASSERT_TRUE((*file)->WriteAt(&byte, 1, 80).ok());
   }
-  std::unique_ptr<S2Server> recovered = MustRecover(options, false);
+  std::unique_ptr<S2Server> recovered = MustRecover(options);
   EXPECT_TRUE(recovered->checkpoint_info().recovered_from_checkpoint);
   EXPECT_TRUE(recovered->checkpoint_info().recovered_from_fallback);
 
   S2Server::Options full = options;
   full.checkpoint_enabled = false;
-  std::unique_ptr<S2Server> replayed = MustBuild(full, false);
+  std::unique_ptr<S2Server> replayed = MustBuild(full);
   ExpectSameState(replayed.get(), recovered.get());
 }
 

@@ -28,9 +28,9 @@ struct Fixture {
   std::unique_ptr<S2Server> server;
 };
 
-// Builds a disk-resident engine through `fault_env` (no faults planned yet,
-// so the build is clean), then wraps it in a server. Cache is disabled so
-// every Execute reaches the engine and hence the faulty disk.
+// Builds a one-shard disk-resident engine through `fault_env` (no faults
+// planned yet, so the build is clean), then wraps it in a server. Cache is
+// disabled so every Execute reaches the engine and hence the faulty disk.
 std::unique_ptr<Fixture> MakeFixture(
     resilience::CircuitBreaker::Options breaker = {},
     bool degrade_on_failure = true) {
@@ -41,14 +41,16 @@ std::unique_ptr<Fixture> MakeFixture(
   spec.seed = 23;
   auto corpus = qlog::GenerateCorpus(spec);
   EXPECT_TRUE(corpus.ok());
-  core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.disk_store_path = "store.bin";
-  options.env = &fx->fault_env;
-  options.retry.max_attempts = 4;
-  options.retry.base_backoff = microseconds(1);
-  options.retry.max_backoff = microseconds(8);
-  auto engine = core::S2Engine::Build(std::move(corpus).ValueOrDie(), options);
+  shard::ShardedEngine::Options options;
+  options.num_shards = 1;
+  options.engine.index.budget_c = 8;
+  options.engine.disk_store_path = "store.bin";
+  options.engine.env = &fx->fault_env;
+  options.engine.retry.max_attempts = 4;
+  options.engine.retry.base_backoff = microseconds(1);
+  options.engine.retry.max_backoff = microseconds(8);
+  auto engine =
+      shard::ShardedEngine::Build(std::move(corpus).ValueOrDie(), options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   S2Server::Options server_options;
   server_options.scheduler.threads = 2;
@@ -256,7 +258,7 @@ std::unique_ptr<ShardedFixture> MakeShardedFixture(
 
 TEST(DegradedServerTest, OneFaultyShardDegradesInsteadOfFailingTheFanOut) {
   auto fx = MakeShardedFixture();
-  ASSERT_TRUE(fx->server->is_sharded());
+  ASSERT_EQ(fx->server->sharded().num_shards(), 4u);
   // Ground truth from the still-healthy disk (exact scan is RAM-only, but
   // capture it before the faults for clarity).
   auto expected = fx->server->sharded().SimilarToExact(0, 5);
@@ -267,7 +269,7 @@ TEST(DegradedServerTest, OneFaultyShardDegradesInsteadOfFailingTheFanOut) {
   for (ts::SeriesId id = 0; id < 8; ++id) {
     QueryResponse response = fx->server->Execute(SimilarTo(id));
     // The scatter hits all four shards; shard 2's failure must surface as a
-    // degraded-but-correct answer, exactly like the single-engine ladder.
+    // degraded-but-correct answer, exactly like the one-shard ladder.
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_TRUE(response.degraded);
     EXPECT_FALSE(response.neighbors.empty());

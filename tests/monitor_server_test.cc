@@ -122,7 +122,7 @@ TEST(MonitorServerTest, ShardedServerRoutesSubscriptionsToOwners) {
   S2Server::Options options;
   options.shards = 3;
   std::unique_ptr<S2Server> server = MakeServer(options);
-  ASSERT_TRUE(server->is_sharded());
+  ASSERT_EQ(server->sharded().num_shards(), 3u);
 
   // Series 0..2 land on three different shards (round-robin placement); the
   // registrations must follow their owners.

@@ -310,35 +310,31 @@ TEST(S2EngineTest, SimilarToDtwSeesAppendedPoints) {
   // standardized rows as they stand. Streaming one series' window onto
   // another's values makes the two rows equal, so each finds the other at
   // DTW distance 0, and every answer equals a brute-force banded scan over
-  // the current rows — in either maintenance mode.
-  for (bool incremental : {false, true}) {
-    S2Engine::Options options;
-    options.index.budget_c = 16;
-    options.dtw_window = 8;
-    options.stream.incremental_maintenance = incremental;
-    auto engine = S2Engine::Build(PaperStyleCorpus(20, 128, 41), options);
-    ASSERT_TRUE(engine.ok());
-    const ts::SeriesId cinema = *engine->FindByName("cinema");
-    const ts::SeriesId easter = *engine->FindByName("easter");
-    const std::vector<double> values = engine->corpus().at(cinema).values;
-    for (double v : values) ASSERT_TRUE(engine->AppendPoint(easter, v).ok());
-    ASSERT_EQ(engine->standardized(easter), engine->standardized(cinema));
+  // the current rows.
+  S2Engine::Options options;
+  options.index.budget_c = 16;
+  options.dtw_window = 8;
+  auto engine = S2Engine::Build(PaperStyleCorpus(20, 128, 41), options);
+  ASSERT_TRUE(engine.ok());
+  const ts::SeriesId cinema = *engine->FindByName("cinema");
+  const ts::SeriesId easter = *engine->FindByName("easter");
+  const std::vector<double> values = engine->corpus().at(cinema).values;
+  for (double v : values) ASSERT_TRUE(engine->AppendPoint(easter, v).ok());
+  ASSERT_EQ(engine->standardized(easter), engine->standardized(cinema));
 
-    for (ts::SeriesId id : {cinema, easter, ts::SeriesId{12}}) {
-      SCOPED_TRACE("incremental " + std::to_string(incremental) + " id " +
-                   std::to_string(id));
-      auto got = engine->SimilarToDtw(id, 4);
-      ASSERT_TRUE(got.ok());
-      const auto expected = BruteForceDtw(*engine, id, options.dtw_window, 4);
-      ASSERT_EQ(got->size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*got)[i].id, expected[i].second) << "rank " << i;
-        EXPECT_EQ((*got)[i].distance, expected[i].first) << "rank " << i;
-      }
-      if (id != 12) {
-        EXPECT_EQ((*got)[0].id, id == cinema ? easter : cinema);
-        EXPECT_EQ((*got)[0].distance, 0.0);
-      }
+  for (ts::SeriesId id : {cinema, easter, ts::SeriesId{12}}) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    auto got = engine->SimilarToDtw(id, 4);
+    ASSERT_TRUE(got.ok());
+    const auto expected = BruteForceDtw(*engine, id, options.dtw_window, 4);
+    ASSERT_EQ(got->size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*got)[i].id, expected[i].second) << "rank " << i;
+      EXPECT_EQ((*got)[i].distance, expected[i].first) << "rank " << i;
+    }
+    if (id != 12) {
+      EXPECT_EQ((*got)[0].id, id == cinema ? easter : cinema);
+      EXPECT_EQ((*got)[0].distance, 0.0);
     }
   }
 }

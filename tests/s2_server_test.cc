@@ -8,33 +8,43 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "diag/check.h"
 #include "querylog/corpus_generator.h"
 
 namespace s2::service {
 namespace {
 
-core::S2Engine MakeEngine(size_t num_series = 96, size_t n_days = 256) {
+shard::ShardedEngine MakeEngine(size_t num_shards = 1) {
   qlog::CorpusSpec spec;
-  spec.num_series = num_series;
-  spec.n_days = n_days;
+  spec.num_series = 96;
+  spec.n_days = 256;
   spec.seed = 11;
   auto corpus = qlog::GenerateCorpus(spec);
   EXPECT_TRUE(corpus.ok());
-  core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  auto engine = core::S2Engine::Build(std::move(corpus).ValueOrDie(), options);
+  shard::ShardedEngine::Options options;
+  options.num_shards = num_shards;
+  options.engine.index.budget_c = 8;
+  auto engine =
+      shard::ShardedEngine::Build(std::move(corpus).ValueOrDie(), options);
   EXPECT_TRUE(engine.ok());
   return std::move(engine).ValueOrDie();
 }
 
 std::unique_ptr<S2Server> MakeServer(size_t threads = 4,
                                      size_t cache_capacity = 256,
-                                     size_t queue_capacity = 256) {
+                                     size_t queue_capacity = 256,
+                                     size_t num_shards = 1) {
   S2Server::Options options;
   options.scheduler.threads = threads;
   options.scheduler.queue_capacity = queue_capacity;
   options.cache_capacity = cache_capacity;
-  return S2Server::Create(MakeEngine(), options);
+  return S2Server::Create(MakeEngine(num_shards), options);
+}
+
+std::vector<diag::CheckFailure>* g_failures = nullptr;
+
+void RecordFailure(const diag::CheckFailure& failure) {
+  g_failures->push_back(failure);
 }
 
 QueryRequest Request(RequestKind kind, ts::SeriesId id, size_t k = 5) {
@@ -215,6 +225,31 @@ TEST(S2ServerTest, MetricsTextSnapshotContainsServingCounters) {
   EXPECT_NE(text.find("server_completed 1"), std::string::npos) << text;
   EXPECT_NE(text.find("server_latency_p95_us"), std::string::npos) << text;
   EXPECT_NE(text.find("cache_misses 1"), std::string::npos) << text;
+}
+
+TEST(S2ServerTest, EngineAccessorFailsACheckOnAMultiShardServer) {
+  std::vector<diag::CheckFailure> failures;
+  g_failures = &failures;
+  const diag::CheckFailureHandler previous =
+      diag::SetCheckFailureHandler(&RecordFailure);
+
+  auto one = MakeServer(/*threads=*/1, /*cache_capacity=*/0,
+                        /*queue_capacity=*/16, /*num_shards=*/1);
+  EXPECT_EQ(&one->engine(), &one->sharded().shard(0));
+  EXPECT_TRUE(failures.empty());
+
+  auto four = MakeServer(/*threads=*/1, /*cache_capacity=*/0,
+                         /*queue_capacity=*/16, /*num_shards=*/4);
+  ASSERT_EQ(four->sharded().num_shards(), 4u);
+  // With a handler that returns, the accessor still hands back a live
+  // engine (shard 0) rather than dereferencing nothing.
+  EXPECT_EQ(&four->engine(), &four->sharded().shard(0));
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].condition, "engine_.num_shards() == 1");
+  EXPECT_FALSE(failures[0].is_dcheck);
+
+  diag::SetCheckFailureHandler(previous);
+  g_failures = nullptr;
 }
 
 }  // namespace

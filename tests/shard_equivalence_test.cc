@@ -323,47 +323,72 @@ TEST(ShardEquivalenceTest, AddSeriesPlacementIsDeterministicWithLowestShardTies)
 }
 
 TEST(ShardEquivalenceTest, ServerAnswersMatchAcrossTopologies) {
-  // The same invisibility must hold one layer up, through S2Server::Build.
+  // The same invisibility must hold one layer up, through S2Server::Build:
+  // a one-shard server (whose fan-out runs inline) and a four-shard one
+  // give bit-identical answers to every verb.
   const uint64_t seed = kSeeds[1];
-  service::S2Server::Options single_options;
-  single_options.scheduler.threads = 1;
-  service::S2Server::Options sharded_options = single_options;
-  sharded_options.shards = 4;
-  auto single = service::S2Server::Build(MakeCorpus(seed), EngineOptions(),
-                                         single_options);
-  auto sharded = service::S2Server::Build(MakeCorpus(seed), EngineOptions(),
-                                          sharded_options);
-  ASSERT_TRUE(single.ok());
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_FALSE((*single)->is_sharded());
-  EXPECT_TRUE((*sharded)->is_sharded());
+  service::S2Server::Options one_options;
+  one_options.scheduler.threads = 1;
+  service::S2Server::Options four_options = one_options;
+  four_options.shards = 4;
+  auto one = service::S2Server::Build(MakeCorpus(seed), EngineOptions(),
+                                      one_options);
+  auto four = service::S2Server::Build(MakeCorpus(seed), EngineOptions(),
+                                       four_options);
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(four.ok());
+  EXPECT_EQ((*one)->sharded().num_shards(), 1u);
+  EXPECT_EQ((*four)->sharded().num_shards(), 4u);
   for (service::RequestKind kind :
        {service::RequestKind::kSimilarTo, service::RequestKind::kSimilarToDtw,
         service::RequestKind::kPeriodsOf, service::RequestKind::kBurstsOf,
-        service::RequestKind::kQueryByBurst}) {
+        service::RequestKind::kQueryByBurst,
+        service::RequestKind::kApproxKnn}) {
+    SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)));
     service::QueryRequest request;
     request.kind = kind;
     request.id = 3;
     request.k = kK;
-    service::QueryResponse a = (*single)->Execute(request);
-    service::QueryResponse b = (*sharded)->Execute(request);
+    service::QueryResponse a = (*one)->Execute(request);
+    service::QueryResponse b = (*four)->Execute(request);
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
     ASSERT_TRUE(b.status.ok()) << b.status.ToString();
+    const bool similarity = kind == service::RequestKind::kSimilarTo ||
+                            kind == service::RequestKind::kSimilarToDtw ||
+                            kind == service::RequestKind::kApproxKnn;
+    EXPECT_EQ(a.neighbors.empty(), !similarity);
     ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
     for (size_t i = 0; i < a.neighbors.size(); ++i) {
       EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id);
       EXPECT_EQ(a.neighbors[i].distance, b.neighbors[i].distance);
     }
+    EXPECT_EQ(a.approximate, b.approximate);
+    EXPECT_EQ(a.quality.guaranteed_exact, b.quality.guaranteed_exact);
+    EXPECT_EQ(a.quality.epsilon, b.quality.epsilon);
+    EXPECT_EQ(a.quality.threshold_lb, b.quality.threshold_lb);
+    EXPECT_EQ(a.quality.candidates, b.quality.candidates);
+    EXPECT_EQ(a.quality.population, b.quality.population);
     ASSERT_EQ(a.periods.size(), b.periods.size());
+    for (size_t i = 0; i < a.periods.size(); ++i) {
+      EXPECT_EQ(a.periods[i].bin, b.periods[i].bin);
+      EXPECT_EQ(a.periods[i].power, b.periods[i].power);
+    }
     ASSERT_EQ(a.bursts.size(), b.bursts.size());
+    for (size_t i = 0; i < a.bursts.size(); ++i) {
+      EXPECT_EQ(a.bursts[i].start, b.bursts[i].start);
+      EXPECT_EQ(a.bursts[i].end, b.bursts[i].end);
+      EXPECT_EQ(a.bursts[i].avg_value, b.bursts[i].avg_value);
+    }
     ASSERT_EQ(a.burst_matches.size(), b.burst_matches.size());
     for (size_t i = 0; i < a.burst_matches.size(); ++i) {
       EXPECT_EQ(a.burst_matches[i].series_id, b.burst_matches[i].series_id);
       EXPECT_EQ(a.burst_matches[i].bsim, b.burst_matches[i].bsim);
     }
   }
-  // Sharded execution exported fan-out metrics.
-  EXPECT_GT((*sharded)->metrics().counter("server_shard_fanout")->value(), 0u);
+  // Both topologies export fan-out metrics: every one-shard request fans
+  // out to its one shard.
+  EXPECT_GT((*one)->metrics().counter("server_shard_fanout")->value(), 0u);
+  EXPECT_GT((*four)->metrics().counter("server_shard_fanout")->value(), 0u);
 }
 
 TEST(ShardEquivalenceTest, DiskResidentShardsStayEquivalent) {

@@ -137,19 +137,6 @@ void CheckAllKernels(const KernelTable& scalar, const KernelTable& table,
     EXPECT_BITEQ(out_ref[i], out_got[i],
                  tag + " standardize[" + std::to_string(i) + "]");
   }
-
-  // SlideComplexBins mutates in place: run each backend on its own copy.
-  // a doubles as interleaved (re, im) pairs; b supplies the twiddles.
-  const size_t bins = n / 2;
-  std::vector<double> bins_ref(in.a.begin(), in.a.begin() + 2 * bins);
-  std::vector<double> bins_got = bins_ref;
-  const double delta = in.mean;
-  scalar.slide_complex_bins(bins_ref.data(), b, bins, delta);
-  table.slide_complex_bins(bins_got.data(), b, bins, delta);
-  for (size_t i = 0; i < 2 * bins; ++i) {
-    EXPECT_BITEQ(bins_ref[i], bins_got[i],
-                 tag + " slide_complex_bins[" + std::to_string(i) + "]");
-  }
 }
 
 TEST(SimdKernelTest, ScalarTableAlwaysAvailable) {

@@ -1,18 +1,19 @@
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "burst/burst_detector.h"
+#include "core/s2_engine.h"
 #include "dsp/stats.h"
-#include "stream/burst_stream.h"
 
 // Edge-case audit for the standardization paths: zero-variance windows,
 // single points, and catastrophic cancellation must never leak a NaN into
 // downstream features, in either the batch (dsp::Standardize) or the
-// streaming (stream::BurstStream, whose running moments standardize
-// implicitly) pipeline.
+// streaming (S2Engine::AppendPoint, which re-standardizes the slid window
+// and re-detects its bursts) pipeline.
 
 namespace s2 {
 namespace {
@@ -74,46 +75,79 @@ TEST(StandardizeEdgeTest, NearZeroStddevStaysFinite) {
   for (double v : z) EXPECT_FALSE(std::isnan(v));
 }
 
-// --- Streaming side: BurstStream's running moments ---
+// --- Streaming side: windows slid by S2Engine::AppendPoint ---
 
-stream::BurstStream MakeStream(const std::vector<double>& window) {
-  auto r = stream::BurstStream::Create(burst::BurstDetector::Options{4, 1.5, true},
-                                       window);
-  EXPECT_TRUE(r.ok()) << r.status().message();
-  return std::move(r).value();
+// A one-series engine sized for short windows: 4-day burst detectors and a
+// 2-coefficient index budget (an 8-day window has 5 spectral bins).
+core::S2Engine MakeEngine(const std::vector<double>& window) {
+  ts::Corpus corpus;
+  ts::TimeSeries series;
+  series.name = "edge";
+  series.values = window;
+  corpus.Add(std::move(series));
+  core::S2Engine::Options options;
+  options.index.budget_c = 2;
+  options.long_burst = burst::BurstDetector::Options{4, 1.5, true};
+  options.short_burst = options.long_burst;
+  options.approx.enabled = false;
+  auto engine = core::S2Engine::Build(std::move(corpus), options);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return std::move(engine).ValueOrDie();
 }
 
-void ExpectCleanRegions(const stream::BurstStream& s) {
-  for (const burst::BurstRegion& region : s.Regions()) {
-    EXPECT_TRUE(std::isfinite(region.avg_value)) << region.avg_value;
-    EXPECT_LE(region.start, region.end);
+void ExpectCleanState(const core::S2Engine& engine) {
+  ExpectAllFinite(engine.standardized(0));
+  for (const core::BurstHorizon horizon :
+       {core::BurstHorizon::kLongTerm, core::BurstHorizon::kShortTerm}) {
+    auto regions = engine.BurstsOf(0, horizon);
+    ASSERT_TRUE(regions.ok()) << regions.status().ToString();
+    for (const burst::BurstRegion& region : *regions) {
+      EXPECT_TRUE(std::isfinite(region.avg_value)) << region.avg_value;
+      EXPECT_LE(region.start, region.end);
+    }
+    EXPECT_EQ(engine.burst_table(horizon).size(), regions->size());
   }
 }
 
 TEST(StandardizeEdgeTest, SlideOntoConstantWindowStaysClean) {
-  // Start varied, slide until the window is constant: the running sumsq
-  // recursions (window and moving average) can go slightly negative from
-  // rounding; sigma must clamp to zero rather than sqrt(-eps) = NaN.
-  std::vector<double> window = {1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 6.0};
-  stream::BurstStream s = MakeStream(window);
-  for (size_t i = 0; i < window.size(); ++i) s.Slide(2.0);
-  EXPECT_FALSE(std::isnan(s.raw_cutoff()));
-  EXPECT_NEAR(s.raw_cutoff(), 2.0, 1e-6);
-  ExpectCleanRegions(s);
+  // Start varied, slide until the window is constant: the zero-variance
+  // window must standardize to zeros rather than NaN, and a flat moving
+  // average has no day above its cutoff, so no burst survives in the
+  // answers or in the burst tables.
+  const std::vector<double> window = {1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 6.0};
+  core::S2Engine engine = MakeEngine(window);
+  for (size_t i = 0; i < window.size(); ++i) {
+    ASSERT_TRUE(engine.AppendPoint(0, 2.0).ok());
+    ExpectCleanState(engine);
+  }
+  EXPECT_EQ(engine.corpus().at(0).values,
+            std::vector<double>(window.size(), 2.0));
+  for (double v : engine.standardized(0)) EXPECT_EQ(v, 0.0);
+  for (const core::BurstHorizon horizon :
+       {core::BurstHorizon::kLongTerm, core::BurstHorizon::kShortTerm}) {
+    EXPECT_TRUE(engine.BurstsOf(0, horizon)->empty());
+    EXPECT_EQ(engine.burst_table(horizon).size(), 0u);
+  }
 }
 
 TEST(StandardizeEdgeTest, SlideWithHugeOffsetKeepsFiniteSigma) {
-  // Catastrophic-cancellation stress for the running mean/power pairs: a
-  // large common offset with small wiggle. The recursion is allowed to
-  // lose the wiggle (documented limitation of one-pass streaming moments)
-  // but must never produce a NaN cutoff or a non-finite region height.
+  // Catastrophic-cancellation stress: a large common offset with a small
+  // wiggle. Each slide re-standardizes the window with the two-pass
+  // centered form, so the wiggle survives as a unit-variance row and no
+  // burst height is non-finite.
   std::vector<double> window;
-  for (int i = 0; i < 16; ++i) window.push_back(1e9 + (i % 2 == 0 ? 0.5 : -0.5));
-  stream::BurstStream s = MakeStream(window);
+  for (int i = 0; i < 16; ++i) {
+    window.push_back(1e9 + (i % 2 == 0 ? 0.5 : -0.5));
+  }
+  core::S2Engine engine = MakeEngine(window);
   for (int lap = 0; lap < 4; ++lap) {
-    for (int i = 0; i < 16; ++i) s.Slide(1e9 + (i % 3 == 0 ? 0.25 : -0.25));
-    EXPECT_TRUE(std::isfinite(s.raw_cutoff())) << "lap " << lap;
-    ExpectCleanRegions(s);
+    SCOPED_TRACE("lap " + std::to_string(lap));
+    for (int i = 0; i < 16; ++i) {
+      const double value = 1e9 + (i % 3 == 0 ? 0.25 : -0.25);
+      ASSERT_TRUE(engine.AppendPoint(0, value).ok());
+    }
+    ExpectCleanState(engine);
+    EXPECT_NEAR(dsp::Variance(engine.standardized(0)), 1.0, 1e-6);
   }
 }
 

@@ -13,12 +13,17 @@
 // same distance code over the same rows, so exact agreement is the bar —
 // same ids, same distances, same periods, same burst intervals and scores.
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "burst/burst_detector.h"
+#include "burst/burst_table.h"
 #include "common/rng.h"
 #include "core/s2_engine.h"
 #include "io/fault_env.h"
@@ -261,58 +266,113 @@ TEST(StreamEquivalenceTest, RepeatedAppendsToTombstonedDeltaRowsStayExact) {
   }
 }
 
-TEST(StreamEquivalenceTest, IncrementalMaintenanceTracksExactWithinTolerance) {
-  // The opt-in incremental path (online burst detector) trades bitwise
-  // equality of the burst rows for speed; its drift bound is the same 1e-6
-  // documented in stream_feature_test.cc. k-NN answers, Euclidean and DTW,
-  // must stay bitwise: both read only the exactly standardized rows.
-  constexpr double kTol = 1e-6;
-  auto exact = core::S2Engine::Build(MakeCorpus(), EngineOptions());
-  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  core::S2Engine::Options options = EngineOptions();
-  options.stream.incremental_maintenance = true;
-  auto fast = core::S2Engine::Build(MakeCorpus(), options);
-  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+// --- Burst tables across long slide sequences --------------------------------
 
-  // Hammer a few series so the recurrences accumulate real drift — a
-  // series' first append only anchors its accumulators with an exact pass.
-  Rng rng(kSeed + 42);
-  for (size_t step = 0; step < 120; ++step) {
-    const auto id = static_cast<ts::SeriesId>(step % 6);
-    const double value = rng.Uniform(0.0, 40.0);
-    ASSERT_TRUE(exact->AppendPoint(id, value).ok());
-    ASSERT_TRUE(fast->AppendPoint(id, value).ok());
+/// Every burst-table record of series `id`, in ascending start date.
+std::vector<burst::BurstRegion> TableRegionsOf(const burst::BurstTable& table,
+                                               ts::SeriesId id) {
+  const burst::BurstRegion everything{std::numeric_limits<int32_t>::min(),
+                                      std::numeric_limits<int32_t>::max(), 0.0};
+  std::vector<burst::BurstRegion> regions;
+  for (const burst::BurstRecord& record : table.FindOverlapping(everything)) {
+    if (record.series_id == id) regions.push_back(record.region());
   }
+  return regions;
+}
 
-  for (ts::SeriesId id = 0; id < 8; ++id) {
-    const std::string where = "incremental id " + std::to_string(id);
-    auto want_knn = exact->SimilarTo(id, kK);
-    auto got_knn = fast->SimilarTo(id, kK);
-    ASSERT_TRUE(want_knn.ok() && got_knn.ok()) << where;
-    ExpectSameNeighbors(*want_knn, *got_knn, where + " knn");
+void ExpectSameRegions(const std::vector<burst::BurstRegion>& want,
+                       const std::vector<burst::BurstRegion>& got,
+                       const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].start, got[i].start) << what << " region " << i;
+    EXPECT_EQ(want[i].end, got[i].end) << what << " region " << i;
+    EXPECT_EQ(want[i].avg_value, got[i].avg_value) << what << " region " << i;
+  }
+}
 
-    // DTW: the search reads only the standardized rows, which both modes
-    // recompute exactly, so the answer does not depend on the mode.
-    auto want_dtw = exact->SimilarToDtw(id, kK);
-    auto got_dtw = fast->SimilarToDtw(id, kK);
-    ASSERT_TRUE(want_dtw.ok() && got_dtw.ok()) << where;
-    ExpectSameNeighbors(*want_dtw, *got_dtw, where + " dtw");
+/// Slides series 0 of a six-series engine `slides` times (a seasonal signal
+/// with a spike every 37 days) and checks, every 10 slides, that both
+/// horizons' burst tables hold exactly what a batch detector finds on the
+/// slid window, shifted to absolute days, while the records of the five
+/// series that never slide stay as built.
+void ExpectBurstTablesTrackTheBatchDetector(
+    const burst::BurstDetector::Options& long_burst,
+    const burst::BurstDetector::Options& short_burst, size_t slides) {
+  qlog::CorpusSpec spec;
+  spec.num_series = 6;
+  spec.n_days = 256;
+  spec.seed = kSeed + 5;
+  auto corpus = qlog::GenerateCorpus(spec);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ts::TimeSeries shadow = corpus->at(0);
+  core::S2Engine::Options options = EngineOptions();
+  options.long_burst = long_burst;
+  options.short_burst = short_burst;
+  auto engine = core::S2Engine::Build(std::move(corpus).ValueOrDie(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-    for (const auto horizon :
-         {core::BurstHorizon::kLongTerm, core::BurstHorizon::kShortTerm}) {
-      auto want_bursts = exact->BurstsOf(id, horizon);
-      auto got_bursts = fast->BurstsOf(id, horizon);
-      ASSERT_TRUE(want_bursts.ok() && got_bursts.ok()) << where;
-      ASSERT_EQ(want_bursts->size(), got_bursts->size()) << where;
-      for (size_t i = 0; i < want_bursts->size(); ++i) {
-        EXPECT_EQ((*want_bursts)[i].start, (*got_bursts)[i].start) << where;
-        EXPECT_EQ((*want_bursts)[i].end, (*got_bursts)[i].end) << where;
-        EXPECT_NEAR((*want_bursts)[i].avg_value, (*got_bursts)[i].avg_value,
-                    kTol)
-            << where;
-      }
+  const core::BurstHorizon horizons[] = {core::BurstHorizon::kLongTerm,
+                                         core::BurstHorizon::kShortTerm};
+  std::vector<std::vector<burst::BurstRegion>> built;
+  for (const core::BurstHorizon horizon : horizons) {
+    for (ts::SeriesId id = 1; id < spec.num_series; ++id) {
+      built.push_back(TableRegionsOf(engine->burst_table(horizon), id));
     }
   }
+
+  size_t slid_regions = 0;  // Keeps the comparisons from passing vacuously.
+  Rng rng(kSeed + 6);
+  for (size_t step = 0; step < slides; ++step) {
+    const double phase = 2.0 * M_PI * static_cast<double>(step) / 16.0;
+    double value = 10.0 + 4.0 * std::sin(phase) + rng.Normal(0.0, 0.5);
+    if (step % 37 == 0) value += 15.0;
+    ASSERT_TRUE(engine->AppendPoint(0, value).ok()) << "slide " << step;
+    SlideShadow(&shadow, value);
+    if (step % 10 != 9) continue;
+
+    size_t other = 0;
+    for (const core::BurstHorizon horizon : horizons) {
+      const std::string what =
+          "slide " + std::to_string(step) + " horizon " +
+          std::to_string(static_cast<int>(horizon));
+      const burst::BurstDetector batch(
+          horizon == core::BurstHorizon::kLongTerm ? long_burst : short_burst);
+      auto want = batch.Detect(shadow.values);
+      ASSERT_TRUE(want.ok()) << what;
+      for (burst::BurstRegion& region : *want) {
+        region.start += shadow.start_day;
+        region.end += shadow.start_day;
+      }
+      slid_regions += want->size();
+      const burst::BurstTable& table = engine->burst_table(horizon);
+      ExpectSameRegions(*want, TableRegionsOf(table, 0), what + " table");
+      auto answered = engine->BurstsOf(0, horizon);
+      ASSERT_TRUE(answered.ok()) << what;
+      ExpectSameRegions(*want, *answered, what + " BurstsOf");
+      for (ts::SeriesId id = 1; id < spec.num_series; ++id) {
+        ExpectSameRegions(built[other++], TableRegionsOf(table, id),
+                          what + " unslid id " + std::to_string(id));
+      }
+      EXPECT_TRUE(table.Validate().ok()) << what;
+    }
+  }
+  EXPECT_GT(slid_regions, 0u);
+}
+
+TEST(StreamEquivalenceTest, BurstTablesTrackTheBatchDetectorAcrossManySlides) {
+  // The detectors' pruning knobs on: a minimum height and a minimum length.
+  const burst::BurstDetector::Options long_burst{30, 1.5, true, 0.5, 2};
+  const burst::BurstDetector::Options short_burst{7, 1.5, true, 0.5, 2};
+  ExpectBurstTablesTrackTheBatchDetector(long_burst, short_burst, 300);
+}
+
+TEST(StreamEquivalenceTest, UnstandardizedBurstTablesTrackTheBatchDetector) {
+  // Raw-count detection with the paper's verbatim knobs: no minimum height,
+  // one-day bursts kept.
+  const burst::BurstDetector::Options long_burst{30, 1.5, false, 0.0, 1};
+  const burst::BurstDetector::Options short_burst{7, 1.5, false, 0.0, 1};
+  ExpectBurstTablesTrackTheBatchDetector(long_burst, short_burst, 150);
 }
 
 // --- WAL crash-recovery ----------------------------------------------------

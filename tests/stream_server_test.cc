@@ -214,7 +214,7 @@ TEST(StreamServerTest, ShardedServerRoutesAppendsToOwnerShards) {
   options.shards = 3;
   options.compaction_threshold = 0;
   std::unique_ptr<S2Server> server = MakeServer(options);
-  ASSERT_TRUE(server->is_sharded());
+  ASSERT_EQ(server->sharded().num_shards(), 3u);
 
   ASSERT_TRUE(server->AppendPoint(0, 4.0).ok());
   ASSERT_TRUE(server->AppendPoint(1, 4.0).ok());

@@ -16,6 +16,7 @@
 #        tools/verify_all.sh durability [jobs]
 #        tools/verify_all.sh kernels [jobs]
 #        tools/verify_all.sh approx [jobs]
+#        tools/verify_all.sh s2bench
 #
 # The `faults` profile is a focused resilience gate: it builds under
 # AddressSanitizer and runs only the fault-injection / crash-safety tests
@@ -31,10 +32,9 @@
 #
 # The `stream` profile is the streaming-ingestion gate: it builds under
 # AddressSanitizer and runs the stream-labelled tests (WAL round-trip and
-# torn-tail handling, incremental-vs-batch feature drift, delta-tier
-# equivalence including the WAL crash-point sweep in
-# stream_equivalence_test.cc) plus one short bench_stream pass that checks
-# the delta-tier query-cost bar.
+# torn-tail handling, delta-tier equivalence including the WAL crash-point
+# sweep in stream_equivalence_test.cc) plus one short bench_stream pass that
+# checks the delta-tier query-cost bar.
 #
 # The `monitor` profile is the standing-query gate: it builds under
 # ThreadSanitizer (the alert queue's lock-free polls race the append path's
@@ -79,6 +79,13 @@
 # determinism unit suite, the recall + shard-invariance harness, the serving
 # degrade-ladder and cache-identity tests — plus one small bench_approx pass
 # that checks the recall/speedup bar at smoke scale.
+#
+# The `s2bench` profile is the end-to-end benchmark gate. Tier-1 never
+# compiles s2bench/, so a change to a server API the benchmark reads would
+# pass tier-1 and still break it. The profile builds the benchmark (Release,
+# under build-verify-s2bench), runs its self-test (every brute-force check
+# fed a corrupted answer), then runs each workload for one second and fails
+# unless the result line reports a correct run with no failed operation.
 set -u
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -250,6 +257,30 @@ if [ "${1:-}" = "approx" ]; then
     --json "${build_dir}/BENCH_approx.json" \
     || { echo "FAIL [approx]: bench_approx" >&2; exit 1; }
   echo "verify_all.sh: approx profile green."
+  exit 0
+fi
+
+if [ "${1:-}" = "s2bench" ]; then
+  build_dir="${repo_root}/build-verify-s2bench"
+  echo "==== [s2bench] benchmark build + self-test + one short run per workload ===="
+  cd "${repo_root}" || exit 1
+  export CARGO_TARGET_DIR="${build_dir}"
+  python3 s2bench/run.py --self-test \
+    || { echo "FAIL [s2bench]: self-test" >&2; exit 1; }
+  for workload in similarity interactive ingest; do
+    log="${build_dir}.${workload}.log"
+    result="$(python3 s2bench/run.py --workload "${workload}" --seed 1 \
+      --seconds 1 --trace 0 2> "${log}" | tail -n 1)"
+    case "${result}" in
+      *'"correct": true,'*'"failed": 0,'*)
+        echo "PASS [s2bench]: ${workload}" ;;
+      *)
+        echo "FAIL [s2bench]: ${workload}: ${result:-no result line}" \
+          "(see ${log})" >&2
+        exit 1 ;;
+    esac
+  done
+  echo "verify_all.sh: s2bench profile green."
   exit 0
 fi
 
