@@ -83,7 +83,6 @@ std::unique_ptr<Deployment> MakeDeployment(const Config& config, bool degrade,
   }
   shard::ShardedEngine::Options options;
   options.num_shards = 1;
-  options.engine.index.budget_c = 8;
   options.engine.disk_store_path = "store.bin";
   options.engine.env = d->env.get();
   options.engine.retry.base_backoff = std::chrono::microseconds(20);

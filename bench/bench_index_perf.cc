@@ -12,7 +12,10 @@
 // transfer per verified candidate; the memory-resident index pays no I/O.
 // CPU time is measured, I/O time is derived from the exact read counters of
 // the SequenceSource. The paper's headline ratios (>=20x for the disk
-// index, >100x in memory) are reproduced by the modeled totals.
+// index, >100x in memory) are reproduced by the modeled totals. Note what
+// "speedup_m" divides: the modelled 2004 disk scan by the in-memory index.
+// The measured in-memory scan ("scan_mem") is printed beside it; against
+// that the index has no such lead.
 
 #include <cstdio>
 #include <filesystem>
@@ -92,9 +95,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nmodeled disk: %.0f ms seek, %.0f MB/s sustained (2004-era)\n",
       kSeekSeconds * 1000, kBandwidth / (1024 * 1024));
-  std::printf("%8s %4s | %12s %12s %12s | %10s %10s | %9s %9s\n", "db", "c",
-              "scan_mod(s)", "disk_mod(s)", "mem_mod(s)", "fetch/q", "idx KiB",
-              "speedup_d", "speedup_m");
+  std::printf("%8s %4s | %12s %12s %12s %12s | %10s %10s | %9s %9s\n", "db",
+              "c", "scan_mod(s)", "scan_mem(s)", "disk_mod(s)", "mem_mod(s)",
+              "fetch/q", "idx KiB", "speedup_d", "speedup_m");
 
   for (size_t db_size : {max_db / 4, max_db / 2, max_db}) {
     std::vector<std::vector<double>> sub_rows(
@@ -134,8 +137,9 @@ int main(int argc, char** argv) {
       const double disk_model = m.cpu_seconds + disk_io;
       const double mem_model = m.cpu_seconds;
       std::printf(
-          "%8zu %4zu | %12.2f %12.2f %12.3f | %10.1f %10zu | %8.1fx %8.1fx\n",
-          db_size, c, scan_model, disk_model, mem_model,
+          "%8zu %4zu | %12.2f %12.3f %12.2f %12.3f | %10.1f %10zu | %8.1fx "
+          "%8.1fx\n",
+          db_size, c, scan_model, scan_cpu, disk_model, mem_model,
           static_cast<double>(m.reads) / static_cast<double>(n_queries),
           built->CompressedBytes() / 1024, scan_model / disk_model,
           scan_model / mem_model);
@@ -143,6 +147,7 @@ int main(int argc, char** argv) {
                          .Add("db", static_cast<uint64_t>(db_size))
                          .Add("budget_c", static_cast<uint64_t>(c))
                          .Add("scan_model_s", scan_model)
+                         .Add("scan_cpu_s", scan_cpu)
                          .Add("disk_model_s", disk_model)
                          .Add("mem_model_s", mem_model)
                          .Add("fetches_per_query",

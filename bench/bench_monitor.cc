@@ -87,12 +87,10 @@ monitor::Subscription MakeSub(Mix mix, size_t ordinal, ts::SeriesId series,
 MonitorRow RunAppends(const char* config, Mix mix, size_t series, size_t days,
                       size_t appends, size_t watched) {
   core::S2Engine::Options engine_options;
-  engine_options.index.budget_c = 16;
 
   service::S2Server::Options server_options;
   server_options.scheduler.threads = 1;
   server_options.cache_capacity = 0;
-  server_options.compaction_threshold = 0;
 
   const ts::Corpus corpus = MakeCorpus(series, days);
   auto server = service::S2Server::Build(MakeCorpus(series, days),
@@ -132,14 +130,6 @@ MonitorRow RunAppends(const char* config, Mix mix, size_t series, size_t days,
     if (!status.ok()) {
       std::fprintf(stderr, "append failed: %s\n", status.ToString().c_str());
       std::exit(1);
-    }
-    if ((i + 1) % 256 == 0) {
-      const Status compacted = server->get()->Compact();
-      if (!compacted.ok()) {
-        std::fprintf(stderr, "compact failed: %s\n",
-                     compacted.ToString().c_str());
-        std::exit(1);
-      }
     }
   }
   const double elapsed = timer.Seconds();

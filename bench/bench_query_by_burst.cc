@@ -84,7 +84,6 @@ int main() {
   }
 
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
   // Practical prominence guard (see BurstDetector::Options::min_avg_value):
   // suppresses the noise micro-bursts of flat weekly series that would
   // otherwise pollute BSim rankings.

@@ -49,7 +49,6 @@ ts::Corpus MakeCorpus(size_t series, size_t days) {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 16;
   return options;
 }
 
@@ -67,7 +66,6 @@ Row RunOne(size_t series, size_t days, size_t appends, size_t interval,
   service::S2Server::Options options;
   options.scheduler.threads = 1;
   options.cache_capacity = 0;
-  options.compaction_threshold = 0;
   options.wal_path = "recovery.wal";
   options.wal_env = &env;
   if (checkpoints) {

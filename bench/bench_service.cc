@@ -161,7 +161,6 @@ core::S2Engine BuildEngine(size_t num_series, size_t n_days) {
     std::exit(1);
   }
   core::S2Engine::Options options;
-  options.index.budget_c = 16;
   auto engine = core::S2Engine::Build(std::move(corpus).ValueOrDie(), options);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());

@@ -62,7 +62,6 @@ Row RunConfig(size_t shards, size_t series, size_t days, size_t requests,
 
   shard::ShardedEngine::Options options;
   options.num_shards = shards;
-  options.engine.index.budget_c = 16;
   if (env != nullptr) {
     options.engine.env = env;
     options.engine.disk_store_path = store_path;

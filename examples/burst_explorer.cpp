@@ -85,7 +85,6 @@ int main() {
   }
 
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
   options.long_burst.min_avg_value = 0.5;  // Suppress noise micro-bursts.
   options.long_burst.min_length = 5;
   auto engine = core::S2Engine::Build(std::move(corpus), options);

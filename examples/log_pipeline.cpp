@@ -76,8 +76,6 @@ int main() {
 
   // 3. Mine it.
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 2;
   auto engine = core::S2Engine::Build(std::move(*reloaded), options);
   if (!engine.ok()) {
     std::printf("engine build failed: %s\n", engine.status().ToString().c_str());

@@ -35,10 +35,9 @@ int main() {
   if (!filler.ok()) return 1;
   for (const auto& series : filler->series()) corpus.Add(series);
 
-  // 2. Build the engine: standardization, best-coefficient compression,
-  //    VP-tree index, periodogram analysis and burst tables, in one call.
+  // 2. Build the engine: standardization, the spectral summary that bounds
+  //    similarity search, periodogram analysis and burst tables, in one call.
   core::S2Engine::Options options;
-  options.index.budget_c = 16;  // Memory of 2*16+1 doubles per sequence.
   auto engine = core::S2Engine::Build(std::move(corpus), options);
   if (!engine.ok()) {
     std::printf("build failed: %s\n", engine.status().ToString().c_str());

@@ -21,8 +21,7 @@
 //   qbb <name> [k]         - query-by-burst
 //   reconstruct <name> [c] - best-k reconstruction quality
 //   append <name> <value>  - stream one more day into a series
-//   compact                - merge the delta tier into the main index
-//   stream                 - streaming-state snapshot (delta size, counters)
+//   stream                 - streaming-state snapshot (WAL, append count)
 //   replay                 - WAL replay stats from startup
 //   checkpoint             - take a coordinated checkpoint now
 //   recover                - how this process came up (checkpoint/fallback)
@@ -179,15 +178,6 @@ class Tool {
       Reconstruct(name, c);
     } else if (command == "append") {
       Append(Rest(in));
-    } else if (command == "compact") {
-      const Status status = server_->Compact();
-      if (!status.ok()) {
-        std::printf("  %s\n", status.ToString().c_str());
-      } else {
-        std::printf("  delta tier merged (%llu compactions total)\n",
-                    static_cast<unsigned long long>(
-                        server_->stream_info().compaction_count));
-      }
     } else if (command == "stream") {
       StreamState();
     } else if (command == "replay") {
@@ -266,7 +256,7 @@ class Tool {
         "  list [prefix] | show <name> | similar <name> [k] | periods <name>\n"
         "  bursts <name> [long|short] | qbb <name> [k] | reconstruct <name> [c]\n"
         "  aknn <name> [k] [--recall r] [--candidates c] | approx\n"
-        "  append <name> <value> | compact | stream | replay\n"
+        "  append <name> <value> | stream | replay\n"
         "  checkpoint | recover | wal-ls\n"
         "  subscribe burst <name> [window [enter [exit]]]\n"
         "  subscribe period <name> | subscribe similar <name> [radius]\n"
@@ -339,7 +329,7 @@ class Tool {
                   SeriesAt(n.id).name.c_str(), n.distance,
                   Spark(SeriesAt(n.id).values, 48).c_str());
     }
-    std::printf("  [index: %zu bound computations, %zu full fetches]\n",
+    std::printf("  [summary: %zu rows bounded, %zu exact distances]\n",
                 stats.bound_computations, stats.full_retrievals);
   }
 
@@ -436,10 +426,6 @@ class Tool {
   // `approx` — the summary-tier introspection snapshot.
   void ApproxState() {
     const service::S2Server::ApproxInfo info = server_->approx_info();
-    if (!info.enabled) {
-      std::printf("  approximate tier disabled\n");
-      return;
-    }
     std::printf("  summary: %zu dims x %zu cells over %zu series\n",
                 info.summary_dims, info.summary_cells, info.indexed_series);
     std::printf("  envelopes: %.2f MiB resident\n",
@@ -616,20 +602,15 @@ class Tool {
       std::printf("  %s\n", status.ToString().c_str());
       return;
     }
-    const auto info = server_->stream_info();
-    std::printf("  appended %.2f to '%s'  (delta tier: %zu series%s)\n", value,
-                name.c_str(), info.delta_size,
-                info.wal_enabled ? ", logged" : "");
+    std::printf("  appended %.2f to '%s'%s\n", value, name.c_str(),
+                server_->stream_info().wal_enabled ? "  (logged)" : "");
   }
 
   void StreamState() {
     const auto info = server_->stream_info();
     std::printf("  wal          %s\n", info.wal_enabled ? "on" : "off");
-    std::printf("  delta size   %zu series\n", info.delta_size);
     std::printf("  appends      %llu\n",
                 static_cast<unsigned long long>(info.append_count));
-    std::printf("  compactions  %llu\n",
-                static_cast<unsigned long long>(info.compaction_count));
   }
 
   void ReplayStats() {
@@ -956,7 +937,6 @@ int main(int argc, char** argv) {
 
   const size_t corpus_size = corpus.size();
   core::S2Engine::Options options;
-  options.index.budget_c = 16;
   options.long_burst.min_avg_value = 0.5;
   options.long_burst.min_length = 5;
   service::S2Server::Options server_options;
@@ -978,15 +958,15 @@ int main(int argc, char** argv) {
     std::printf("build failed: %s\n", server.status().ToString().c_str());
     return 1;
   }
-  size_t compressed_bytes = 0;
+  size_t summary_bytes = 0;
   const shard::ShardedEngine& sharded = (*server)->sharded();
   for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    compressed_bytes += sharded.shard(s).index().CompressedBytes();
+    summary_bytes += sharded.shard(s).summary()->SummaryBytes();
   }
   std::printf(
-      "S2 Similarity Tool - %zu queries indexed (%zu KiB compressed "
-      "features).\nType 'help' for commands, 'demo' for a tour.\n",
-      corpus_size, compressed_bytes / 1024);
+      "S2 Similarity Tool - %zu queries indexed (%zu KiB summary "
+      "envelopes).\nType 'help' for commands, 'demo' for a tour.\n",
+      corpus_size, summary_bytes / 1024);
   if (serve_threads > 0) {
     std::printf("Server mode: %zu worker threads, result cache on", serve_threads);
     if (shards > 1) std::printf(", %zu shards", shards);

@@ -41,15 +41,15 @@ int main(int argc, char** argv) {
   if (!corpus.ok()) return 1;
 
   core::S2Engine::Options options;
-  options.index.budget_c = 16;
-  std::printf("building engine (VP-tree over best-coefficient features) ...\n");
+  std::printf("building engine (summary over best-energy DFT coordinates) ...\n");
   auto engine = core::S2Engine::Build(std::move(*corpus), options);
   if (!engine.ok()) {
     std::printf("build failed: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  std::printf("index holds %zu objects in %zu KiB of compressed features\n",
-              engine->index().size(), engine->index().CompressedBytes() / 1024);
+  std::printf("summary holds %zu series in %zu KiB of envelopes\n",
+              engine->summary()->size(),
+              engine->summary()->SummaryBytes() / 1024);
 
   // For a sample of queries, check the family purity of the k-NN lists.
   std::map<std::string, std::pair<size_t, size_t>> by_family;  // hits, total
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                 counts.first, counts.second);
   }
   std::printf(
-      "\nindex effort: %.1f full-sequence fetches per query (of %zu objects)\n",
+      "\nsearch effort: %.1f exact distances per query (of %zu series)\n",
       static_cast<double>(totals.full_retrievals) / static_cast<double>(sample),
       engine->corpus().size());
 

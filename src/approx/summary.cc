@@ -158,6 +158,11 @@ Status SummaryConfig::Project(const std::vector<double>& z,
   return Status::OK();
 }
 
+double SummaryConfig::BoundSlack() const {
+  const double n = series_length;
+  return 4.0 * n * std::sqrt(n) * std::numeric_limits<double>::epsilon();
+}
+
 Status SummaryConfig::Validate() const {
   diag::Validator v("SummaryConfig");
   v.Check(dims > 0 && dims <= kMaxDims) << "dims " << dims << " out of range";
@@ -376,6 +381,12 @@ std::vector<SummaryIndex::Candidate> SummaryIndex::Candidates(
   std::reverse(result.begin(), result.end());
   if (stats != nullptr) stats->candidates += result.size();
   return result;
+}
+
+double SummaryIndex::LowerBoundSq(ts::SeriesId id, const double* proj,
+                                  double limit_sq) const {
+  return simd::LbKeoghSqAbandon(lower_.row(id), upper_.row(id), proj,
+                                config_.dims, limit_sq);
 }
 
 size_t SummaryIndex::SummaryBytes() const {

@@ -97,6 +97,16 @@ struct SummaryConfig {
   /// `out` is resized to `dims`.
   Status Project(const std::vector<double>& z, std::vector<double>* out) const;
 
+  /// How far, in the distance domain, a computed summary bound of a
+  /// standardized row may exceed the row's true distance. A projection is a
+  /// normalized FFT coefficient, within O(ε·log n·‖z‖) of exact with
+  /// ‖z‖ <= √n, and a bound subtracts two of them, so near-duplicate rows
+  /// can see their tight bound round above the distance. The slack,
+  /// 4·n·√n·ε, covers that several times over at every length. Prune tests
+  /// compare bounds against index::SquaredGate(radius + slack), so a row
+  /// tied at the radius is never pruned.
+  double BoundSlack() const;
+
   /// Structural self-check (shape agreement, ascending edges).
   Status Validate() const;
 
@@ -211,6 +221,12 @@ class SummaryIndex {
   std::vector<Candidate> Candidates(const std::vector<double>& proj, size_t c,
                                     ts::SeriesId exclude,
                                     ScanStats* stats = nullptr) const;
+
+  /// Squared summary lower bound of series `id` against `proj` (a
+  /// `Project`ed query of `dims` values), abandoned past `limit_sq` with the
+  /// `simd::LbKeoghSqAbandon` contract: the result is <= limit_sq only when
+  /// it is the complete bound. The exact k-NN pass prunes with it.
+  double LowerBoundSq(ts::SeriesId id, const double* proj, double limit_sq) const;
 
   size_t size() const { return size_; }
   const SummaryConfig& config() const { return config_; }

@@ -38,12 +38,12 @@ namespace s2::sync {
 /// the smallest ranks.
 enum class LockRank : uint32_t {
   /// service::S2Server engine_mu_ (SharedMutex): the outermost lock; held
-  /// across whole verbs, and across compaction scheduling (→ kThreadPool),
+  /// across whole verbs, and across checkpoint scheduling (→ kThreadPool),
   /// alert pushes (→ kAlertQueue), retry jitter (→ kRetryJitter) and
   /// disk-resident I/O (→ kFaultEnv/kMemEnv).
   kEngineState = 100,
   /// exec::ThreadPool queue mutex. Submit() runs under the exclusive
-  /// engine lock when the append path schedules background compaction.
+  /// engine lock when the append path schedules a background checkpoint.
   kThreadPool = 200,
   /// service::ResultCache LRU mutex. Self-contained methods; ranked above
   /// the engine so a future "probe cache while answering" path stays legal.

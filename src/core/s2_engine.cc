@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "diag/check.h"
@@ -46,18 +45,9 @@ Result<S2Engine> S2Engine::Build(ts::Corpus corpus, const Options& options) {
     engine.by_name_.emplace(corpus.at(id).name, id);
   }
 
-  // Similarity index over the standardized data.
-  S2_ASSIGN_OR_RETURN(index::VpTreeIndex built,
-                      index::VpTreeIndex::Build(engine.standardized_, options.index));
-  engine.index_ = std::make_unique<index::VpTreeIndex>(std::move(built));
-
-  // Verification source: RAM or disk.
-  if (options.disk_store_path.empty()) {
-    S2_ASSIGN_OR_RETURN(auto source,
-                        storage::InMemorySequenceSource::Create(engine.standardized_));
-    engine.mem_source_ = source.get();
-    engine.source_ = std::move(source);
-  } else {
+  // Disk-resident engines spill the rows to the store exact distances are
+  // read from; RAM engines read standardized_ in place.
+  if (!options.disk_store_path.empty()) {
     S2_ASSIGN_OR_RETURN(auto source,
                         storage::DiskSequenceStore::Create(options.disk_store_path,
                                                            engine.standardized_,
@@ -65,10 +55,8 @@ Result<S2Engine> S2Engine::Build(ts::Corpus corpus, const Options& options) {
     // Disk reads can fail transiently (EINTR, injected faults); wrap them in
     // the retry decorator so one blip does not abort a whole query.
     engine.disk_source_ = source.get();
-    auto retrying = std::make_unique<resilience::RetryingSequenceSource>(
+    engine.retry_source_ = std::make_unique<resilience::RetryingSequenceSource>(
         std::move(source), options.retry);
-    engine.retry_source_ = retrying.get();
-    engine.source_ = std::move(retrying);
   }
 
   // Burst stores for both horizons.
@@ -82,22 +70,20 @@ Result<S2Engine> S2Engine::Build(ts::Corpus corpus, const Options& options) {
     engine.short_bursts_.Insert(id, short_regions, series.start_day);
   }
 
-  // Approximate tier: adopt the preset config (sharded engines train one on
-  // the full corpus before partitioning) or train on this corpus.
-  if (options.approx.enabled) {
-    approx::SummaryConfig config;
-    if (options.approx.preset_config != nullptr) {
-      config = *options.approx.preset_config;
-    } else {
-      S2_ASSIGN_OR_RETURN(config,
-                          approx::SummaryConfig::Train(engine.standardized_,
-                                                       options.approx.summary));
-    }
-    S2_ASSIGN_OR_RETURN(approx::SummaryIndex summary,
-                        approx::SummaryIndex::Build(std::move(config),
-                                                    engine.standardized_));
-    engine.summary_ = std::make_unique<approx::SummaryIndex>(std::move(summary));
+  // The summary: adopt the preset config (sharded engines train one on the
+  // full corpus before partitioning) or train on this corpus.
+  approx::SummaryConfig config;
+  if (options.approx.preset_config != nullptr) {
+    config = *options.approx.preset_config;
+  } else {
+    S2_ASSIGN_OR_RETURN(config,
+                        approx::SummaryConfig::Train(engine.standardized_,
+                                                     options.approx.summary));
   }
+  S2_ASSIGN_OR_RETURN(approx::SummaryIndex summary,
+                      approx::SummaryIndex::Build(std::move(config),
+                                                  engine.standardized_));
+  engine.summary_ = std::make_unique<approx::SummaryIndex>(std::move(summary));
 
   engine.corpus_ = std::move(corpus);
   S2_DCHECK_OK(engine.ValidateInvariants());
@@ -105,8 +91,7 @@ Result<S2Engine> S2Engine::Build(ts::Corpus corpus, const Options& options) {
 }
 
 Status S2Engine::ValidateInvariants() const {
-  S2_RETURN_NOT_OK(index_->Validate());
-  if (delta_ != nullptr) S2_RETURN_NOT_OK(delta_->Validate());
+  S2_RETURN_NOT_OK(summary_->Validate());
   S2_RETURN_NOT_OK(long_bursts_.Validate());
   S2_RETURN_NOT_OK(short_bursts_.Validate());
 
@@ -114,13 +99,6 @@ Status S2Engine::ValidateInvariants() const {
   v.Check(corpus_.size() == standardized_.size())
       << "corpus holds " << corpus_.size() << " series but "
       << standardized_.size() << " standardized rows exist";
-  // Every series lives in exactly one index tier; the tiers partition the
-  // corpus (delta membership disjointness is enforced by AppendPoint, which
-  // removes from one tier before inserting into the other).
-  const size_t in_delta = delta_ == nullptr ? 0 : delta_->size();
-  v.Check(index_->size() + in_delta == corpus_.size())
-      << "index tiers hold " << index_->size() << " main + " << in_delta
-      << " delta objects for a corpus of " << corpus_.size();
   const size_t length = standardized_.empty() ? 0 : standardized_.front().size();
   for (size_t id = 0; id < standardized_.size(); ++id) {
     v.Check(standardized_[id].size() == length)
@@ -131,16 +109,14 @@ Status S2Engine::ValidateInvariants() const {
     v.Check(id < corpus_.size())
         << "catalog name '" << name << "' maps to out-of-range id " << id;
   }
-  v.Check(source_ != nullptr && source_->num_series() == corpus_.size())
-      << "sequence source holds "
-      << (source_ == nullptr ? 0 : source_->num_series())
-      << " series for a corpus of " << corpus_.size();
-  if (summary_ != nullptr) {
-    S2_RETURN_NOT_OK(summary_->Validate());
-    v.Check(summary_->size() == corpus_.size())
-        << "summary index holds " << summary_->size()
-        << " envelopes for a corpus of " << corpus_.size();
+  if (retry_source_ != nullptr) {
+    v.Check(retry_source_->num_series() == corpus_.size())
+        << "disk store holds " << retry_source_->num_series()
+        << " series for a corpus of " << corpus_.size();
   }
+  v.Check(summary_->size() == corpus_.size())
+      << "summary index holds " << summary_->size()
+      << " envelopes for a corpus of " << corpus_.size();
   return v.ToStatus();
 }
 
@@ -153,26 +129,24 @@ Result<ts::SeriesId> S2Engine::FindByName(std::string_view name) const {
 }
 
 Result<ts::SeriesId> S2Engine::AddSeries(ts::TimeSeries series) {
-  if (mem_source_ == nullptr) {
+  if (retry_source_ != nullptr) {
     return Status::InvalidArgument(
         "S2Engine::AddSeries: only supported for RAM-resident engines");
   }
   if (series.size() != standardized_.front().size()) {
     return Status::InvalidArgument("S2Engine::AddSeries: series length mismatch");
   }
-  std::vector<double> z = dsp::Standardize(series.values);
-  S2_ASSIGN_OR_RETURN(ts::SeriesId id, mem_source_->Append(z));
-  S2_RETURN_NOT_OK(index_->Insert(id, z, mem_source_));
-
+  // Every fallible step runs before the first mutation.
   S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> long_regions,
                       long_detector_.Detect(series.values));
-  long_bursts_.Insert(id, long_regions, series.start_day);
   S2_ASSIGN_OR_RETURN(std::vector<burst::BurstRegion> short_regions,
                       short_detector_.Detect(series.values));
+  std::vector<double> z = dsp::Standardize(series.values);
+  S2_RETURN_NOT_OK(summary_->Append(z));
+
+  const auto id = static_cast<ts::SeriesId>(standardized_.size());
+  long_bursts_.Insert(id, long_regions, series.start_day);
   short_bursts_.Insert(id, short_regions, series.start_day);
-
-  if (summary_ != nullptr) S2_RETURN_NOT_OK(summary_->Append(z));
-
   standardized_.push_back(std::move(z));
   by_name_.emplace(series.name, id);
   corpus_.Add(std::move(series));
@@ -187,72 +161,34 @@ Status S2Engine::AppendPoint(ts::SeriesId id, double value) {
   }
   ts::TimeSeries& series = corpus_.at(id);
 
-  // Stage the slid window; nothing is mutated until the fallible steps pass.
+  // 1. Standardize the slid window.
   std::vector<double> values(series.values.begin() + 1, series.values.end());
   values.push_back(value);
   std::vector<double> z = dsp::Standardize(values);
-  // Pinned for tombstone routing: the row the series is currently indexed
-  // under, which the store is about to forget.
-  const std::vector<double> old_z = standardized_[id];
 
-  // 1. Stored row first — the index mutations below route against it.
-  if (mem_source_ != nullptr) {
-    S2_RETURN_NOT_OK(mem_source_->Update(id, z));
-  } else {
+  // 2. Store: a disk engine's record write is the one step that can fail on
+  // I/O, so it runs before anything in RAM changes.
+  if (disk_source_ != nullptr) {
     S2_RETURN_NOT_OK(disk_source_->UpdateRecord(id, z));
   }
-
-  // 2. Move the series into the delta tier under its new row. The old
-  // entry must leave its tier entirely: a tombstoned vantage with a stale
-  // compressed repr routes but never advertises bounds, so it can never
-  // tighten a pruning radius against the data it no longer describes.
-  if (delta_ == nullptr) {
-    S2_ASSIGN_OR_RETURN(stream::DeltaIndex created,
-                        stream::DeltaIndex::Create(
-                            options_.index, static_cast<uint32_t>(z.size())));
-    delta_ = std::make_unique<stream::DeltaIndex>(std::move(created));
-  }
-  if (delta_->Contains(id)) {
-    S2_RETURN_NOT_OK(delta_->Remove(id, &old_z));
-  } else {
-    S2_RETURN_NOT_OK(index_->Remove(id, &old_z));
-  }
-  const Status inserted = delta_->Insert(id, z, source_.get());
-  if (!inserted.ok()) {
-    // A routing read failed (disk engines under persistent faults). Roll the
-    // series back to its pre-append state: revert the stored row, re-index
-    // the old row in the delta. If even that fails the series stays
-    // unindexed — degraded but never wrong — until WAL replay rebuilds.
-    Status rollback = mem_source_ != nullptr
-                          ? mem_source_->Update(id, old_z)
-                          : disk_source_->UpdateRecord(id, old_z);
-    if (rollback.ok()) rollback = delta_->Insert(id, old_z, source_.get());
-    (void)rollback;
-    return inserted;
-  }
-
-  // 3. Commit the window; every fallible index step is behind us.
   series.values = std::move(values);
   series.start_day += 1;
   standardized_[id] = std::move(z);
-  // Re-summarize under the frozen config. The envelope is widened to
-  // contain the new projection, so summary pruning stays sound even when
-  // the slid window leaves its training-time cell. The rollback path above
-  // returns before this point, leaving the summary consistent with the
-  // (unchanged) standardized row.
-  if (summary_ != nullptr) {
-    S2_RETURN_NOT_OK(summary_->Update(id, standardized_[id]));
-  }
 
-  // 4. Derived state: burst rows of both horizons.
+  // 3. Summary: re-summarize under the frozen config. The envelope is
+  // widened to contain the new projection, so summary pruning stays sound
+  // even when the slid window leaves its training-time cell.
+  S2_RETURN_NOT_OK(summary_->Update(id, standardized_[id]));
+
+  // 4. Bursts: the burst rows of both horizons.
   S2_RETURN_NOT_OK(RefreshDerivedState(id));
 
   ++appends_;
 
-  // 5. Standing subscriptions on this series — O(active subscriptions on
-  // id), one hash probe when there are none. Evaluation reads only the
-  // committed window and standardized row, so the fired alert stream cannot
-  // depend on which shard this engine happens to be.
+  // 5. Monitor: standing subscriptions on this series — O(active
+  // subscriptions on id), one hash probe when there are none. Evaluation
+  // reads only the committed window and standardized row, so the fired
+  // alert stream cannot depend on which shard this engine happens to be.
   if (registry_.CountOn(id) > 0) {
     const auto eval_start = std::chrono::steady_clock::now();
     monitor::EvalContext ctx;
@@ -320,76 +256,22 @@ Status S2Engine::RefreshDerivedState(ts::SeriesId id) {
   return Status::OK();
 }
 
-Status S2Engine::Compact() {
-  if (delta_ == nullptr || delta_->size() == 0) return Status::OK();
-  // Per-series move keeps the tiers a partition of the corpus even if an
-  // insert fails midway (disk routing reads are fallible): a series is in
-  // both tiers only between its two statements, which no reader can observe
-  // under the writer lock.
-  for (ts::SeriesId id : delta_->MemberIds()) {
-    S2_RETURN_NOT_OK(index_->Insert(id, standardized_[id], source_.get()));
-    S2_RETURN_NOT_OK(delta_->Remove(id, &standardized_[id]));
-  }
-  // Reset the delta tree outright, dropping its accumulated tombstones.
-  S2_RETURN_NOT_OK(delta_->Clear());
-  ++compactions_;
-  S2_DCHECK_OK(ValidateInvariants());
-  return Status::OK();
-}
-
-Result<std::vector<index::Neighbor>> S2Engine::SearchIndexBoth(
-    const std::vector<double>& z, size_t k,
-    index::VpTreeIndex::SearchStats* stats, index::SharedRadius* shared) const {
-  if (delta_ == nullptr || delta_->size() == 0) {
-    return index_->Search(z, k, source_.get(), stats, shared);
-  }
-  // The tiers partition the corpus, so this is the scatter-gather argument
-  // at tier granularity: each search returns every member of its tier that
-  // could be in the global top-k (with exact distances), the shared radius
-  // lets each prune against the other's certified bounds, and the merge by
-  // (distance, id) is exact. Ids are disjoint across tiers by construction.
-  index::SharedRadius local;
-  index::SharedRadius* radius = shared != nullptr ? shared : &local;
-  S2_ASSIGN_OR_RETURN(std::vector<index::Neighbor> merged,
-                      index_->Search(z, k, source_.get(), stats, radius));
-  S2_ASSIGN_OR_RETURN(std::vector<index::Neighbor> from_delta,
-                      delta_->Search(z, k, source_.get(), stats, radius));
-  merged.insert(merged.end(), from_delta.begin(), from_delta.end());
-  std::sort(merged.begin(), merged.end(),
-            [](const index::Neighbor& a, const index::Neighbor& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.id < b.id;
-            });
-  if (merged.size() > k) merged.resize(k);
-  return merged;
-}
-
 Result<std::vector<index::Neighbor>> S2Engine::SimilarTo(
     ts::SeriesId id, size_t k, index::VpTreeIndex::SearchStats* stats) const {
   if (id >= corpus_.size()) return Status::NotFound("S2Engine: bad series id");
-  // Ask for k+1 and drop the series itself (its own nearest neighbor).
-  S2_ASSIGN_OR_RETURN(
-      std::vector<index::Neighbor> neighbors,
-      SearchIndexBoth(standardized_[id], k + 1, stats, nullptr));
-  std::erase_if(neighbors, [id](const index::Neighbor& n) { return n.id == id; });
-  if (neighbors.size() > k) neighbors.resize(k);
-  return neighbors;
+  return SimilarToStandardized(standardized_[id], k, id, stats, nullptr);
 }
 
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToSeries(
     const std::vector<double>& raw_values, size_t k,
     index::VpTreeIndex::SearchStats* stats) const {
-  const std::vector<double> z = dsp::Standardize(raw_values);
-  return SearchIndexBoth(z, k, stats, nullptr);
+  return SimilarToStandardized(dsp::Standardize(raw_values), k,
+                               ts::kInvalidSeriesId, stats, nullptr);
 }
 
 Result<S2Engine::ApproxAnswer> S2Engine::ApproxKnn(
     ts::SeriesId id, const approx::QueryParams& params,
     approx::ScanStats* stats) const {
-  if (summary_ == nullptr) {
-    return Status::InvalidArgument(
-        "S2Engine::ApproxKnn: approximate tier disabled at Build");
-  }
   if (id >= corpus_.size()) return Status::NotFound("S2Engine: bad series id");
   S2_ASSIGN_OR_RETURN(std::vector<double> proj, ApproxProject(standardized_[id]));
   // The query itself is excluded from the scan, so the population the
@@ -404,11 +286,7 @@ Result<S2Engine::ApproxAnswer> S2Engine::ApproxKnn(
       std::vector<index::Neighbor> neighbors,
       ApproxVerify(standardized_[id], candidates, params.k, stats, nullptr));
   // Canonical answer order — identical to the sharded gather's merge.
-  std::sort(neighbors.begin(), neighbors.end(),
-            [](const index::Neighbor& a, const index::Neighbor& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.id < b.id;
-            });
+  std::sort(neighbors.begin(), neighbors.end(), index::NeighborLess);
   const double worst_lb_sq = candidates.empty() ? 0.0 : candidates.back().lb_sq;
   ApproxAnswer answer;
   answer.bound = approx::BoundFromVerification(worst_lb_sq, candidates.size(),
@@ -419,10 +297,6 @@ Result<S2Engine::ApproxAnswer> S2Engine::ApproxKnn(
 
 Result<std::vector<double>> S2Engine::ApproxProject(
     const std::vector<double>& z) const {
-  if (summary_ == nullptr) {
-    return Status::InvalidArgument(
-        "S2Engine::ApproxProject: approximate tier disabled at Build");
-  }
   std::vector<double> proj;
   S2_RETURN_NOT_OK(summary_->config().Project(z, &proj));
   return proj;
@@ -431,10 +305,6 @@ Result<std::vector<double>> S2Engine::ApproxProject(
 Result<std::vector<approx::SummaryIndex::Candidate>> S2Engine::ApproxCandidates(
     const std::vector<double>& proj, size_t c, ts::SeriesId exclude,
     approx::ScanStats* stats) const {
-  if (summary_ == nullptr) {
-    return Status::InvalidArgument(
-        "S2Engine::ApproxCandidates: approximate tier disabled at Build");
-  }
   return summary_->Candidates(proj, c, exclude, stats);
 }
 
@@ -442,13 +312,13 @@ Result<std::vector<index::Neighbor>> S2Engine::ApproxVerify(
     const std::vector<double>& z,
     const std::vector<approx::SummaryIndex::Candidate>& candidates, size_t k,
     approx::ScanStats* stats, index::SharedRadius* shared) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   index::BestList best(k);
-  // Same loop shape as the VP-tree verification pass, in the squared
-  // domain: candidates arrive ascending by (lb_sq, id), so once the local
-  // list is full and a lower bound clears the local threshold nothing after
-  // it can either. The shared radius only prunes (never terminates) —
-  // another shard's tighter answer says "skip this one", not "stop".
+  const double slack = summary_->config().BoundSlack();
+  // Squared-domain verification: candidates arrive ascending by (lb_sq,
+  // id), so once the local list is full and a lower bound clears the local
+  // threshold nothing after it can either. The shared radius only prunes
+  // (never terminates) — another shard's tighter answer says "skip this
+  // one", not "stop".
   for (const approx::SummaryIndex::Candidate& candidate : candidates) {
     if (candidate.id >= standardized_.size()) {
       return Status::InvalidArgument(
@@ -457,10 +327,9 @@ Result<std::vector<index::Neighbor>> S2Engine::ApproxVerify(
     const double local = best.Threshold();
     double threshold = local;
     if (shared != nullptr) threshold = std::min(threshold, shared->load());
-    const double local_sq = std::isinf(local) ? kInf : local * local;
-    const double threshold_sq = std::isinf(threshold) ? kInf : threshold * threshold;
-    if (best.Full() && candidate.lb_sq > local_sq) break;
-    if (candidate.lb_sq > threshold_sq) continue;
+    const double threshold_sq = index::SquaredGate(threshold);
+    if (best.Full() && candidate.lb_sq > index::SquaredGate(local + slack)) break;
+    if (candidate.lb_sq > index::SquaredGate(threshold + slack)) continue;
     const std::vector<double>& row = standardized_[candidate.id];
     const double dist_sq = dsp::SquaredEuclideanEarlyAbandon(
         z.data(), row.data(), std::min(z.size(), row.size()), threshold_sq);
@@ -476,7 +345,8 @@ Result<std::vector<index::Neighbor>> S2Engine::ApproxVerify(
 namespace {
 
 // Exact Euclidean k-NN by linear scan over RAM-resident rows; `exclude`
-// drops the query series itself. Cannot touch disk, cannot fail.
+// drops the query series itself. Cannot touch disk, cannot fail. The
+// kernel is the primary path's, so the answer is bitwise identical to it.
 std::vector<index::Neighbor> ExactScan(
     const std::vector<std::vector<double>>& rows,
     const std::vector<double>& query, size_t k, ts::SeriesId exclude) {
@@ -484,13 +354,8 @@ std::vector<index::Neighbor> ExactScan(
   for (ts::SeriesId id = 0; id < rows.size(); ++id) {
     if (id == exclude) continue;
     const std::vector<double>& row = rows[id];
-    const size_t n = std::min(row.size(), query.size());
-    double sum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = row[i] - query[i];
-      sum += d * d;
-    }
-    best.Offer(id, std::sqrt(sum));
+    best.Offer(id, std::sqrt(simd::SumSqDiff(
+                       query.data(), row.data(), std::min(row.size(), query.size()))));
   }
   return std::move(best).Take();
 }
@@ -524,16 +389,48 @@ Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtw(
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToStandardized(
     const std::vector<double>& z, size_t k, ts::SeriesId exclude,
     index::VpTreeIndex::SearchStats* stats, index::SharedRadius* shared) const {
-  const bool drop_self = exclude != ts::kInvalidSeriesId;
-  S2_ASSIGN_OR_RETURN(
-      std::vector<index::Neighbor> neighbors,
-      SearchIndexBoth(z, drop_self ? k + 1 : k, stats, shared));
-  if (drop_self) {
-    std::erase_if(neighbors,
-                  [exclude](const index::Neighbor& n) { return n.id == exclude; });
-    if (neighbors.size() > k) neighbors.resize(k);
+  index::VpTreeIndex::SearchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  std::vector<double> proj;
+  S2_RETURN_NOT_OK(summary_->config().Project(z, &proj));
+  const double slack = summary_->config().BoundSlack();
+  index::BestList best(k);
+  std::vector<double> fetched;
+  for (ts::SeriesId id = 0; id < standardized_.size(); ++id) {
+    if (id == exclude) continue;
+    // The radius: min(local k-th, shared radius). Both only shrink, so a
+    // row the bound prunes now stays pruned. The bound is tested against
+    // the radius widened by its rounding slack, the distance against the
+    // radius itself.
+    const double local = best.Threshold();
+    const double radius = shared == nullptr ? local : std::min(local, shared->load());
+    const double prune_sq = index::SquaredGate(radius + slack);
+    const double lb_sq = summary_->LowerBoundSq(id, proj.data(), prune_sq);
+    ++stats->bound_computations;
+    if (lb_sq > prune_sq) {
+      if (radius < local && lb_sq <= index::SquaredGate(local + slack)) {
+        ++stats->shared_radius_prunes;  // Only the shared radius made the cut.
+      }
+      continue;
+    }
+    ++stats->candidates_surviving;
+    const double* row = standardized_[id].data();
+    if (retry_source_ != nullptr) {
+      S2_ASSIGN_OR_RETURN(fetched, retry_source_->Get(id));
+      row = fetched.data();
+    }
+    ++stats->full_retrievals;
+    // An abandoned sum exceeds limit_sq by construction, so `<=` admits
+    // exactly the complete distances, bitwise equal to simd::SumSqDiff.
+    const double limit_sq = index::SquaredGate(radius);
+    const double dist_sq =
+        dsp::SquaredEuclideanEarlyAbandon(z.data(), row, z.size(), limit_sq);
+    if (dist_sq <= limit_sq) {
+      best.Offer(id, std::sqrt(dist_sq));
+      if (shared != nullptr && best.Full()) shared->Tighten(best.Threshold());
+    }
   }
-  return neighbors;
+  return std::move(best).Take();
 }
 
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtwStandardized(
@@ -543,7 +440,7 @@ Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtwStandardized(
   S2_ASSIGN_OR_RETURN(std::vector<index::Neighbor> neighbors,
                       dtw::DtwKnnSearch({options_.dtw_window})
                           .Search(z, drop_self ? k + 1 : k, standardized_,
-                                  retry_source_, stats, shared));
+                                  retry_source_.get(), stats, shared));
   if (drop_self) {
     std::erase_if(neighbors,
                   [exclude](const index::Neighbor& n) { return n.id == exclude; });

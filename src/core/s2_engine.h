@@ -19,7 +19,6 @@
 #include "period/period_detector.h"
 #include "resilience/retrying_source.h"
 #include "storage/sequence_store.h"
-#include "stream/delta_index.h"
 #include "timeseries/time_series.h"
 
 namespace s2::core {
@@ -32,13 +31,19 @@ enum class BurstHorizon { kLongTerm, kShortTerm };
 /// Similarity Tool (Section 7.5). It ingests a corpus of query-demand
 /// series and provides the three headline capabilities:
 ///
-///   * similarity search over compressed spectral features (VP-tree index),
+///   * similarity search bounded by compressed spectral features,
 ///   * automatic discovery of significant periods,
 ///   * burst detection and query-by-burst over a relational burst store.
 ///
 /// All sequences are standardized at ingest; similarity is Euclidean
-/// distance between standardized sequences (exact — the index bounds only
-/// prune, never approximate).
+/// distance between standardized sequences. Exact k-NN is one pass over the
+/// rows in id order: the approximate tier's summary (`approx::SummaryIndex`,
+/// the best-energy DFT coordinates with quantized envelopes) lower-bounds
+/// each row's distance, and only rows the bound cannot prune have their
+/// exact distance computed — the bounds only prune, never approximate. The
+/// paper's VP-tree (`index::VpTreeIndex`) measured slower than this scan on
+/// RAM-resident shards, so it serves only the figure benches (DESIGN.md,
+/// deviation 5).
 ///
 /// ## Reentrancy contract (audited for the `s2::service` layer)
 ///
@@ -55,7 +60,7 @@ enum class BurstHorizon { kLongTerm, kShortTerm };
 ///   * `DiskSequenceStore` record fetches (positioned `pread`, no shared
 ///     file-position cursor).
 ///
-/// `AddSeries` is a *writer*: it mutates the VP-tree, both burst tables,
+/// `AddSeries` is a *writer*: it mutates the summary, both burst tables,
 /// the catalog and the standardized rows, and must be externally serialized
 /// against all readers (e.g. `service::S2Server` holds a shared_mutex in
 /// write mode around it). Per-call `SearchStats` out-params are owned by the
@@ -63,15 +68,15 @@ enum class BurstHorizon { kLongTerm, kShortTerm };
 class S2Engine {
  public:
   struct Options {
-    index::VpTreeIndex::Options index;
     period::PeriodDetector::Options period;
     /// Sakoe-Chiba half-width for SimilarToDtw (Section 8 extension).
     size_t dtw_window = 16;
     burst::BurstDetector::Options long_burst{30, 1.5, true};
     burst::BurstDetector::Options short_burst{7, 1.5, true};
     /// When non-empty, the standardized sequences are spilled to this file
-    /// and verification reads come from disk (the paper's external-memory
-    /// configuration); otherwise everything stays in RAM.
+    /// and the exact distances of rows the summary cannot prune are read
+    /// from disk (the paper's external-memory configuration); otherwise
+    /// everything stays in RAM.
     std::string disk_store_path;
     /// Filesystem the disk store lives in; null means the POSIX
     /// environment. Tests substitute `io::MemEnv` / `io::FaultInjectingEnv`.
@@ -79,12 +84,10 @@ class S2Engine {
     /// Retry policy for transient faults on the disk verification path
     /// (disk-resident engines only; see resilience::RetryingSequenceSource).
     resilience::RetryPolicy retry;
-    /// Approximate-first search tier (src/approx, DESIGN.md §13).
+    /// The summary (src/approx, DESIGN.md §13): built at Build time (a few
+    /// hundred bytes per series), kept current through AddSeries and
+    /// AppendPoint, and read by both the exact and the approximate verbs.
     struct ApproxOptions {
-      /// Builds the summary index at Build time (a few hundred bytes per
-      /// series) and keeps it current through AddSeries/AppendPoint. Off
-      /// disables the ApproxKnn verbs.
-      bool enabled = true;
       /// Training knobs + candidate-budget defaults.
       approx::SummaryOptions summary;
       /// A pre-trained configuration to adopt instead of training on this
@@ -116,11 +119,10 @@ class S2Engine {
   /// Resolves a query string to its series id.
   Result<ts::SeriesId> FindByName(std::string_view name) const;
 
-  /// Incrementally ingests one more series: standardizes it, inserts it
-  /// into the VP-tree (dynamic insert), detects its bursts into both burst
-  /// stores and registers its name. Only supported for RAM-resident engines
-  /// (empty `disk_store_path`); the series must match the corpus length.
-  /// Returns the new series id.
+  /// Incrementally ingests one more series: standardizes it, summarizes
+  /// it, detects its bursts into both burst stores and registers its name.
+  /// Only supported for RAM-resident engines (empty `disk_store_path`); the
+  /// series must match the corpus length. Returns the new series id.
   Result<ts::SeriesId> AddSeries(ts::TimeSeries series);
 
   // --- Streaming ingestion ---------------------------------------------------
@@ -128,25 +130,18 @@ class S2Engine {
   /// Slides one series' window forward by a day: the oldest sample falls off
   /// the front, `value` enters the back, `start_day` advances — the corpus
   /// stays rectangular, so every query verb remains well-defined mid-stream.
-  /// The series moves to the delta tier (a small side VP-tree searched
-  /// alongside the main index; see stream::DeltaIndex) and all its derived
-  /// state — stored row, summary envelope, burst rows of both horizons — is
-  /// recomputed exactly, so a streamed engine stays bitwise identical to a
-  /// batch rebuild over the same data.
+  /// All of the series' derived state — stored row, summary envelope, burst
+  /// rows of both horizons — is recomputed exactly, so a streamed engine
+  /// stays bitwise identical to a batch rebuild over the same data.
   ///
   /// A writer, like `AddSeries`: serialize externally against all readers.
-  /// On an I/O error (disk-resident engines) the engine rolls the series
-  /// back to its pre-append state; if even the rollback's reads fail, the
-  /// series may be left unindexed until WAL replay rebuilds the engine —
-  /// degraded but never wrong (queries simply miss that one series).
+  /// A disk-resident engine writes the stored row first; if that write
+  /// fails, the append returns the error with the window unchanged.
   Status AppendPoint(ts::SeriesId id, double value);
 
-  /// Folds every delta-tier series back into the main index and empties the
-  /// delta (the LSM merge). A writer. Safe to call with an empty delta
-  /// (no-op). The merged tree answers queries identically — both tiers hold
-  /// exact compressed features over the same rows, so only *where* a series
-  /// is probed changes, never its distance.
-  Status Compact();
+  /// A no-op. Exists only for s2bench and goes with the benchmark's next
+  /// change.
+  Status Compact() { return Status::OK(); }
 
   // --- Standing queries (s2::monitor) ---------------------------------------
 
@@ -180,13 +175,11 @@ class S2Engine {
     return registry_;
   }
 
-  /// Series currently in the delta tier.
-  size_t delta_size() const { return delta_ == nullptr ? 0 : delta_->size(); }
-  /// Points appended / compactions run over this engine's lifetime.
+  /// Always 0. Exists only for s2bench and goes with the benchmark's next
+  /// change.
+  size_t delta_size() const { return 0; }
+  /// Points appended over this engine's lifetime.
   uint64_t append_count() const { return appends_; }
-  uint64_t compaction_count() const { return compactions_; }
-  /// The delta tier, or null while no append has created one (tests).
-  const stream::DeltaIndex* delta() const { return delta_.get(); }
 
   /// The ingested corpus.
   const ts::Corpus& corpus() const { return corpus_; }
@@ -197,6 +190,12 @@ class S2Engine {
   }
 
   // --- Similarity ----------------------------------------------------------
+
+  // The exact verbs take `index::VpTreeIndex::SearchStats` only because
+  // s2bench reads it; the type goes with the benchmark's next change. The
+  // summary-bounded pass fills `bound_computations` (rows bounded),
+  // `candidates_surviving` (rows the bound passed), `full_retrievals`
+  // (distances started) and `shared_radius_prunes`; `nodes_visited` stays 0.
 
   /// k nearest neighbors of an indexed series (itself excluded).
   Result<std::vector<index::Neighbor>> SimilarTo(ts::SeriesId id, size_t k,
@@ -209,11 +208,11 @@ class S2Engine {
       index::VpTreeIndex::SearchStats* stats = nullptr) const;
 
   /// Degraded-mode answer: exact k-NN by linear scan over the RAM-resident
-  /// standardized rows. No index traversal, no sequence-store I/O — this
-  /// path cannot fail on disk faults, which is exactly why the serving
-  /// layer falls back to it when the indexed path hits I/O trouble. O(N·len)
-  /// per query, but the answer set is identical to `SimilarTo` (both are
-  /// exact Euclidean k-NN).
+  /// standardized rows. No summary, no sequence-store I/O — this path cannot
+  /// fail on disk faults, which is exactly why the serving layer falls back
+  /// to it when a disk engine's reads hit I/O trouble. O(N·len) per query,
+  /// but the answer set is identical to `SimilarTo` (both are exact
+  /// Euclidean k-NN).
   Result<std::vector<index::Neighbor>> SimilarToExact(ts::SeriesId id,
                                                       size_t k) const;
 
@@ -244,10 +243,14 @@ class S2Engine {
   // answer), `exclude` names a *local* series id to drop from the results
   // (`ts::kInvalidSeriesId` for none — only the shard owning the query
   // series excludes), and `shared` threads the cross-shard pruning radius
-  // through the search. With `exclude` set the search asks for k+1 exactly
-  // like `SimilarTo`, so the owning shard's answers stay bit-identical to
-  // the single-engine path.
+  // through the search.
 
+  /// The exact pass: rows in id order, `exclude` skipped, each row's summary
+  /// bound tested against min(local k-th, shared radius) widened by the
+  /// bound's rounding slack, and the exact distance of every row the bound
+  /// passes, offered only when complete.
+  /// Disk engines fetch those rows through the retrying store, so a read
+  /// fault returns its error (the serving layer's degradation ladder).
   Result<std::vector<index::Neighbor>> SimilarToStandardized(
       const std::vector<double>& z, size_t k,
       ts::SeriesId exclude = ts::kInvalidSeriesId,
@@ -261,7 +264,7 @@ class S2Engine {
       index::SharedRadius* shared = nullptr) const;
 
   /// Degraded-path counterparts: exact linear scans over the RAM rows with
-  /// an explicit local exclusion (no index, no disk — cannot fail).
+  /// an explicit local exclusion (no summary, no disk — cannot fail).
   Result<std::vector<index::Neighbor>> SimilarToStandardizedExact(
       const std::vector<double>& z, size_t k,
       ts::SeriesId exclude = ts::kInvalidSeriesId) const;
@@ -311,7 +314,7 @@ class S2Engine {
       approx::ScanStats* stats = nullptr,
       index::SharedRadius* shared = nullptr) const;
 
-  /// The summary index, or null when the approximate tier is disabled.
+  /// The summary index (never null).
   const approx::SummaryIndex* summary() const { return summary_.get(); }
 
   // --- Periods ---------------------------------------------------------------
@@ -335,24 +338,23 @@ class S2Engine {
 
   // --- Introspection ---------------------------------------------------------
 
-  const index::VpTreeIndex& index() const { return *index_; }
   const burst::BurstTable& burst_table(BurstHorizon horizon) const {
     return horizon == BurstHorizon::kLongTerm ? long_bursts_ : short_bursts_;
   }
-  storage::SequenceSource* source() const { return source_.get(); }
   /// The retrying decorator around the disk store; null for RAM-resident
-  /// engines (whose source cannot fail). Exposes retry/giveup counters.
+  /// engines, which read their rows in place. Exposes the store's read
+  /// counter and the retry/giveup counters.
   const resilience::RetryingSequenceSource* retry_source() const {
-    return retry_source_;
+    return retry_source_.get();
   }
   const Options& options() const { return options_; }
 
-  /// Cross-structure self-check: validates the VP-tree (structure only —
-  /// the exact-distance pass is the index's own opt-in) and both burst
+  /// Cross-structure self-check: validates the summary and both burst
   /// tables, then the engine-level agreement between them: catalog names
   /// resolving to in-range ids, one standardized row of the corpus length
-  /// per series, and the index population matching the corpus. `Build` and
-  /// `AddSeries` run this under `S2_DCHECK_OK` in checked builds.
+  /// per series, and the summary and disk store populations matching the
+  /// corpus. `Build` and `AddSeries` run this under `S2_DCHECK_OK` in
+  /// checked builds.
   Status ValidateInvariants() const;
 
  private:
@@ -362,15 +364,6 @@ class S2Engine {
     return horizon == BurstHorizon::kLongTerm ? long_detector_ : short_detector_;
   }
 
-  /// Exact k-NN over both index tiers: searches the main tree and (when
-  /// non-empty) the delta tree under one shared pruning radius and merges by
-  /// (distance, id) — the cross-shard scatter-gather argument applied to the
-  /// two tiers, which partition the corpus. With an empty delta this is
-  /// exactly a main-tree search (bitwise, including stats).
-  Result<std::vector<index::Neighbor>> SearchIndexBoth(
-      const std::vector<double>& z, size_t k,
-      index::VpTreeIndex::SearchStats* stats, index::SharedRadius* shared) const;
-
   /// Re-detects both horizons' burst rows of `id` after its window slid.
   /// The corpus row is already current.
   Status RefreshDerivedState(ts::SeriesId id);
@@ -378,31 +371,22 @@ class S2Engine {
   Options options_;
   ts::Corpus corpus_;
   std::vector<std::vector<double>> standardized_;
-  // Non-owning alias of source_ when it is RAM-resident; enables AddSeries.
-  storage::InMemorySequenceSource* mem_source_ = nullptr;
-  // Non-owning alias of source_ when it is disk-resident (retry decorator).
-  resilience::RetryingSequenceSource* retry_source_ = nullptr;
-  // Non-owning alias of the raw disk store under retry_source_; enables
-  // streamed in-place record updates. Null for RAM-resident engines.
+  // Disk-resident engines only (null in RAM): the retrying decorator that
+  // owns the disk store, and a non-owning alias of that store for the
+  // append path's in-place record updates.
+  std::unique_ptr<resilience::RetryingSequenceSource> retry_source_;
   storage::DiskSequenceStore* disk_source_ = nullptr;
   std::unordered_map<std::string, ts::SeriesId> by_name_;
-  std::unique_ptr<index::VpTreeIndex> index_;
-  // Approximate tier (null when Options::ApproxOptions::enabled is false):
-  // summary envelopes over standardized_, slot == series id, kept current
+  // Summary envelopes over standardized_, slot == series id, kept current
   // by AddSeries/AppendPoint under the build-time-frozen config.
   std::unique_ptr<approx::SummaryIndex> summary_;
-  std::unique_ptr<storage::SequenceSource> source_;
   burst::BurstDetector long_detector_;
   burst::BurstDetector short_detector_;
   burst::BurstTable long_bursts_;
   burst::BurstTable short_bursts_;
   period::PeriodDetector period_detector_;
 
-  // --- Streaming state -------------------------------------------------------
-  // Delta tier; created lazily by the first AppendPoint.
-  std::unique_ptr<stream::DeltaIndex> delta_;
   uint64_t appends_ = 0;
-  uint64_t compactions_ = 0;
 
   // --- Standing queries ------------------------------------------------------
   // Subscriptions keyed by local series id; mutated only on the writer

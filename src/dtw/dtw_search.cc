@@ -9,10 +9,6 @@
 
 namespace s2::dtw {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
 Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
     const std::vector<double>& query, size_t k,
     const std::vector<std::vector<double>>& rows,
@@ -65,9 +61,10 @@ Result<std::vector<index::Neighbor>> DtwKnnSearch::Search(
     // limit by construction, so `sq <= current_sq` accepts exactly the
     // complete values. Comparing sqrt(sq) against `current` instead can
     // round an abandoned partial down onto the threshold and admit a
-    // truncated distance (see dsp::SquaredEuclideanEarlyAbandon).
-    const double local_sq = std::isinf(local) ? kInf : local * local;
-    const double current_sq = std::isinf(current) ? kInf : current * current;
+    // truncated distance (see dsp::SquaredEuclideanEarlyAbandon). The gate
+    // admits a row tied at the radius (index::SquaredGate).
+    const double local_sq = index::SquaredGate(local);
+    const double current_sq = index::SquaredGate(current);
     const std::vector<double>* row = &rows[id];
     if (source != nullptr) {
       S2_ASSIGN_OR_RETURN(fetched, source->Get(id));

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -17,28 +19,39 @@ struct Neighbor {
   double distance = 0.0;
 };
 
-/// A bounded best-k list ordered by ascending distance.
+/// Total order of answers: ascending distance, ties to the smaller id. Every
+/// best-k list and every gather merge ranks by it, so which of several equal
+/// distances make the cut never depends on offer order or shard layout.
+inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
+  return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
+}
+
+/// A bounded best-k list: the k smallest offers by `NeighborLess`, in that
+/// order, whatever order they were offered in.
 ///
-/// Keeps at most `k` neighbors; `Threshold()` is the current k-th distance
-/// (the pruning radius), +infinity until the list fills.
+/// `Threshold()` is the current k-th distance (the pruning radius),
+/// +infinity until the list fills.
 class BestList {
  public:
   explicit BestList(size_t k) : k_(k) {}
 
-  /// Offers a candidate; keeps it if it beats the current k-th distance.
+  /// Offers a candidate; keeps it if it ranks before the current k-th.
   void Offer(ts::SeriesId id, double distance) {
-    if (items_.size() == k_ && distance >= Threshold()) return;
+    const Neighbor candidate{id, distance};
+    if (k_ == 0) return;
+    if (items_.size() == k_ && !NeighborLess(candidate, items_.back())) return;
     // Insert sorted; lists are tiny (k is small), linear insertion is fine.
-    auto it = std::lower_bound(
-        items_.begin(), items_.end(), distance,
-        [](const Neighbor& n, double d) { return n.distance < d; });
-    items_.insert(it, Neighbor{id, distance});
+    items_.insert(std::upper_bound(items_.begin(), items_.end(), candidate,
+                                   NeighborLess),
+                  candidate);
     if (items_.size() > k_) items_.pop_back();
   }
 
   /// Current pruning radius: k-th best distance, +infinity while unfilled.
   double Threshold() const {
-    if (items_.size() < k_) return std::numeric_limits<double>::infinity();
+    if (k_ == 0 || items_.size() < k_) {
+      return std::numeric_limits<double>::infinity();
+    }
     return items_.back().distance;
   }
 
@@ -50,6 +63,20 @@ class BestList {
   size_t k_;
   std::vector<Neighbor> items_;
 };
+
+/// The squared-domain gate for a sqrt-domain radius `r`: r*r nudged up two
+/// ulps (+infinity stays +infinity). A radius is sqrt(d) of some squared
+/// distance d, and sqrt(d)^2 can round below d, so gating `dist_sq <= r*r`
+/// would reject the very row tied at the radius — a tie another partition
+/// published, which the (distance, id) order may need. The nudge admits it;
+/// admitting a row a few ulps beyond the radius only adds an exact
+/// distance the best-k list or the merge then ranks, never a wrong one.
+inline double SquaredGate(double r) {
+  const double sq = r * r;
+  if (!(sq < std::numeric_limits<double>::infinity())) return sq;
+  // Non-negative doubles order like their bit patterns: +2 is two ulps up.
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(sq) + 2);
+}
 
 /// A monotonically shrinking global best-k radius shared by concurrent
 /// searches over disjoint partitions of one corpus (the scatter-gather kNN

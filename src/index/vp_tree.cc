@@ -192,17 +192,6 @@ Result<VpTreeIndex> VpTreeIndex::Build(const std::vector<std::vector<double>>& r
                      static_cast<uint32_t>(length));
 }
 
-Result<VpTreeIndex> VpTreeIndex::CreateEmpty(const Options& options,
-                                             uint32_t series_length) {
-  if (series_length == 0) {
-    return Status::InvalidArgument("VpTreeIndex: empty sequences");
-  }
-  if (options.leaf_size == 0) {
-    return Status::InvalidArgument("VpTreeIndex: leaf_size must be > 0");
-  }
-  return VpTreeIndex(options, {}, /*root=*/-1, /*num_objects=*/0, series_length);
-}
-
 void VpTreeIndex::SearchNode(int32_t node_id, const repr::QuerySpectrum& query,
                              std::vector<Candidate>* candidates,
                              BestList* upper_bounds, SearchStats* stats,
@@ -234,12 +223,10 @@ void VpTreeIndex::SearchNode(int32_t node_id, const repr::QuerySpectrum& query,
   auto bounds = repr::ComputeBounds(query, node.vantage.repr, options_.method);
   if (!bounds.ok()) return;
   ++stats->bound_computations;
-  if (!node.vantage_deleted) {
-    candidates->push_back({node.vantage.id, bounds->lower, bounds->upper});
-    upper_bounds->Offer(node.vantage.id, bounds->upper);
-    if (shared != nullptr && upper_bounds->Full()) {
-      shared->Tighten(upper_bounds->Threshold());
-    }
+  candidates->push_back({node.vantage.id, bounds->lower, bounds->upper});
+  upper_bounds->Offer(node.vantage.id, bounds->upper);
+  if (shared != nullptr && upper_bounds->Full()) {
+    shared->Tighten(upper_bounds->Threshold());
   }
 
   const double lb = bounds->lower;
@@ -354,9 +341,8 @@ Result<std::vector<Neighbor>> VpTreeIndex::Search(const std::vector<double>& que
     }
     S2_ASSIGN_OR_RETURN(std::vector<double> row, source->Get(candidate.id));
     ++stats->full_retrievals;
-    const double abandon_sq = std::isinf(threshold)
-                                  ? std::numeric_limits<double>::infinity()
-                                  : threshold * threshold;
+    // Admits a row tied at the threshold (SquaredGate).
+    const double abandon_sq = SquaredGate(threshold);
     const double dist_sq = dsp::SquaredEuclideanEarlyAbandon(
         query.data(), row.data(), query.size(), abandon_sq);
     // Gate in the squared domain: the kernel's result is <= abandon_sq
@@ -372,182 +358,6 @@ Result<std::vector<Neighbor>> VpTreeIndex::Search(const std::vector<double>& que
     }
   }
   return std::move(best).Take();
-}
-
-Result<repr::CompressedSpectrum> VpTreeIndex::CompressRow(
-    const std::vector<double>& row) const {
-  S2_ASSIGN_OR_RETURN(repr::HalfSpectrum spectrum,
-                      repr::HalfSpectrum::FromSeriesInBasis(row, options_.basis));
-  if (options_.energy_fraction > 0.0) {
-    return repr::CompressedSpectrum::CompressToEnergy(spectrum,
-                                                      options_.energy_fraction);
-  }
-  return repr::CompressedSpectrum::Compress(spectrum, options_.repr_kind,
-                                            options_.budget_c);
-}
-
-bool VpTreeIndex::ContainsId(ts::SeriesId id) const {
-  for (const Node& node : nodes_) {
-    if (node.leaf) {
-      for (const Entry& entry : node.bucket) {
-        if (entry.id == id) return true;
-      }
-    } else if (node.vantage.id == id && !node.vantage_deleted) {
-      return true;
-    }
-  }
-  return false;
-}
-
-Status VpTreeIndex::Insert(ts::SeriesId id, const std::vector<double>& row,
-                           storage::SequenceSource* source) {
-  if (row.size() != series_length_) {
-    return Status::InvalidArgument("VpTreeIndex::Insert: row length mismatch");
-  }
-  if (source == nullptr) {
-    return Status::InvalidArgument("VpTreeIndex::Insert: source must not be null");
-  }
-  if (ContainsId(id)) {
-    return Status::AlreadyExists("VpTreeIndex::Insert: id already indexed");
-  }
-
-  // An empty index (CreateEmpty) grows its first leaf here.
-  if (root_ < 0) {
-    Node leaf;
-    leaf.leaf = true;
-    nodes_.push_back(std::move(leaf));
-    root_ = static_cast<int32_t>(nodes_.size() - 1);
-  }
-
-  // Route by exact distance to each vantage point; the full vantage
-  // representations are fetched from the store — except for tombstones with
-  // a pinned row, whose store row may have changed since (see Remove).
-  int32_t node_id = root_;
-  while (!nodes_[static_cast<size_t>(node_id)].leaf) {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    double dist = 0.0;
-    if (node.vantage_deleted && !node.pinned_row.empty()) {
-      dist = ExactDistance(row, node.pinned_row);
-    } else {
-      S2_ASSIGN_OR_RETURN(std::vector<double> vantage_row,
-                          source->Get(node.vantage.id));
-      dist = ExactDistance(row, vantage_row);
-    }
-    int32_t* child = dist < node.median ? &node.left : &node.right;
-    if (*child < 0) {
-      // Attach a fresh leaf on the empty side.
-      Node leaf;
-      leaf.leaf = true;
-      nodes_.push_back(std::move(leaf));
-      // nodes_ may have reallocated; re-resolve the parent before writing.
-      Node& parent = nodes_[static_cast<size_t>(node_id)];
-      child = dist < parent.median ? &parent.left : &parent.right;
-      *child = static_cast<int32_t>(nodes_.size() - 1);
-    }
-    node_id = *child;
-  }
-
-  S2_ASSIGN_OR_RETURN(repr::CompressedSpectrum compressed, CompressRow(row));
-  nodes_[static_cast<size_t>(node_id)].bucket.push_back(
-      {id, std::move(compressed)});
-  ++num_objects_;
-
-  if (nodes_[static_cast<size_t>(node_id)].bucket.size() > 2 * options_.leaf_size) {
-    S2_RETURN_NOT_OK(SplitLeaf(node_id, source));
-  }
-  return Status::OK();
-}
-
-Status VpTreeIndex::SplitLeaf(int32_t node_id, storage::SequenceSource* source) {
-  // Fetch the bucket's full rows once.
-  std::vector<Entry> bucket = std::move(nodes_[static_cast<size_t>(node_id)].bucket);
-  nodes_[static_cast<size_t>(node_id)].bucket.clear();
-  std::vector<std::vector<double>> rows;
-  rows.reserve(bucket.size());
-  for (const Entry& entry : bucket) {
-    S2_ASSIGN_OR_RETURN(std::vector<double> full, source->Get(entry.id));
-    rows.push_back(std::move(full));
-  }
-
-  // Vantage point: the member with the highest deviation of distances to
-  // the others (the construction heuristic, computed exactly here since the
-  // bucket is small).
-  size_t vantage_slot = 0;
-  double best_dev = -1.0;
-  for (size_t cand = 0; cand < rows.size(); ++cand) {
-    std::vector<double> dists;
-    dists.reserve(rows.size() - 1);
-    for (size_t other = 0; other < rows.size(); ++other) {
-      if (other != cand) dists.push_back(ExactDistance(rows[cand], rows[other]));
-    }
-    const double dev = dsp::StdDev(dists);
-    if (dev > best_dev) {
-      best_dev = dev;
-      vantage_slot = cand;
-    }
-  }
-
-  struct DistEntry {
-    size_t slot;
-    double dist;
-  };
-  std::vector<DistEntry> entries;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i == vantage_slot) continue;
-    entries.push_back({i, ExactDistance(rows[vantage_slot], rows[i])});
-  }
-  const size_t mid = entries.size() / 2;
-  std::nth_element(
-      entries.begin(), entries.begin() + static_cast<ptrdiff_t>(mid), entries.end(),
-      [](const DistEntry& a, const DistEntry& b) { return a.dist < b.dist; });
-  const double median = entries[mid].dist;
-
-  Node left;
-  left.leaf = true;
-  Node right;
-  right.leaf = true;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    (i < mid ? left : right).bucket.push_back(std::move(bucket[entries[i].slot]));
-  }
-  nodes_.push_back(std::move(left));
-  const int32_t left_id = static_cast<int32_t>(nodes_.size() - 1);
-  nodes_.push_back(std::move(right));
-  const int32_t right_id = static_cast<int32_t>(nodes_.size() - 1);
-
-  Node& node = nodes_[static_cast<size_t>(node_id)];
-  node.leaf = false;
-  node.vantage = std::move(bucket[vantage_slot]);
-  node.vantage_deleted = false;
-  node.pinned_row.clear();
-  node.median = median;
-  node.left = left_id;
-  node.right = right_id;
-  return Status::OK();
-}
-
-Status VpTreeIndex::Remove(ts::SeriesId id,
-                           const std::vector<double>* pinned_row) {
-  if (pinned_row != nullptr && pinned_row->size() != series_length_) {
-    return Status::InvalidArgument("VpTreeIndex::Remove: pinned row length mismatch");
-  }
-  for (Node& node : nodes_) {
-    if (node.leaf) {
-      for (size_t i = 0; i < node.bucket.size(); ++i) {
-        if (node.bucket[i].id == id) {
-          node.bucket.erase(node.bucket.begin() + static_cast<ptrdiff_t>(i));
-          --num_objects_;
-          return Status::OK();
-        }
-      }
-    } else if (node.vantage.id == id && !node.vantage_deleted) {
-      node.vantage_deleted = true;
-      if (pinned_row != nullptr) node.pinned_row = *pinned_row;
-      ++num_tombstones_;
-      --num_objects_;
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("VpTreeIndex::Remove: id not indexed");
 }
 
 namespace {
@@ -584,14 +394,15 @@ Status VpTreeIndex::Save(const std::string& path, io::Env* env) const {
             PutScalar<uint8_t>(f, options_.guided_traversal ? 1 : 0) &&
             PutScalar<uint32_t>(f, series_length_) &&
             PutScalar<uint64_t>(f, num_objects_) &&
-            PutScalar<uint64_t>(f, num_tombstones_) &&
+            // The format's tombstone count; a static tree has none.
+            PutScalar<uint64_t>(f, 0) &&
             PutScalar<int32_t>(f, root_) &&
             PutScalar<uint64_t>(f, nodes_.size());
   if (!ok) return Status::IoError("VpTreeIndex::Save: short write");
 
   for (const Node& node : nodes_) {
     ok = PutScalar<uint8_t>(f, node.leaf ? 1 : 0) &&
-         PutScalar<uint8_t>(f, node.vantage_deleted ? 1 : 0) &&
+         PutScalar<uint8_t>(f, 0) &&  // The format's tombstone flag.
          PutScalar(f, node.median) && PutScalar(f, node.left) &&
          PutScalar(f, node.right);
     if (!ok) return Status::IoError("VpTreeIndex::Save: short write");
@@ -633,7 +444,7 @@ Result<VpTreeIndex> VpTreeIndex::Load(const std::string& path, io::Env* env) {
   uint8_t guided = 0;
   uint32_t series_length = 0;
   uint64_t num_objects = 0;
-  uint64_t num_tombstones = 0;
+  uint64_t tombstones = 0;
   int32_t root = -1;
   uint64_t node_count = 0;
   bool ok = io::ReadExact(f, magic, sizeof(magic)).ok() &&
@@ -642,9 +453,10 @@ Result<VpTreeIndex> VpTreeIndex::Load(const std::string& path, io::Env* env) {
             GetScalar(f, &method) && GetScalar(f, &budget_c) &&
             GetScalar(f, &energy_fraction) && GetScalar(f, &leaf_size) &&
             GetScalar(f, &guided) && GetScalar(f, &series_length) &&
-            GetScalar(f, &num_objects) && GetScalar(f, &num_tombstones) &&
+            GetScalar(f, &num_objects) && GetScalar(f, &tombstones) &&
             GetScalar(f, &root) && GetScalar(f, &node_count);
-  if (!ok || repr_kind > 3 || basis > 1 || method > 6) {
+  // A static tree has no tombstones; an image that records any is rejected.
+  if (!ok || repr_kind > 3 || basis > 1 || method > 6 || tombstones != 0) {
     return Status::Corruption("VpTreeIndex::Load: bad header in " + path);
   }
   // Bound the declared node count by the bytes actually present (the
@@ -685,8 +497,10 @@ Result<VpTreeIndex> VpTreeIndex::Load(const std::string& path, io::Env* env) {
         !GetScalar(f, &node.right)) {
       return Status::Corruption("VpTreeIndex::Load: truncated node");
     }
+    if (deleted != 0) {
+      return Status::Corruption("VpTreeIndex::Load: tombstoned node in " + path);
+    }
     node.leaf = leaf != 0;
-    node.vantage_deleted = deleted != 0;
     if (node.leaf) {
       uint64_t bucket_size = 0;
       if (!GetScalar(f, &bucket_size) || bucket_size > (1u << 24)) {
@@ -713,7 +527,7 @@ Result<VpTreeIndex> VpTreeIndex::Load(const std::string& path, io::Env* env) {
     return Status::Corruption("VpTreeIndex::Load: root out of range");
   }
   // Child pointers must stay inside the node array: an out-of-range id
-  // would be followed blindly by Search/Insert.
+  // would be followed blindly by Search.
   for (size_t i = 0; i < nodes.size(); ++i) {
     const Node& node = nodes[i];
     const int32_t limit = static_cast<int32_t>(nodes.size());
@@ -723,10 +537,8 @@ Result<VpTreeIndex> VpTreeIndex::Load(const std::string& path, io::Env* env) {
                                 " has an out-of-range child in " + path);
     }
   }
-  VpTreeIndex index(options, std::move(nodes), root,
-                    static_cast<size_t>(num_objects), series_length);
-  index.num_tombstones_ = static_cast<size_t>(num_tombstones);
-  return index;
+  return VpTreeIndex(options, std::move(nodes), root,
+                     static_cast<size_t>(num_objects), series_length);
 }
 
 Status VpTreeIndex::Validate(storage::SequenceSource* source) const {
@@ -736,12 +548,11 @@ Status VpTreeIndex::Validate(storage::SequenceSource* source) const {
       << "root " << root_ << " out of range (have " << limit << " nodes)";
   if (!v.ok()) return v.ToStatus();
 
-  // Reachability walk: every node exactly once, counting objects and
-  // tombstones along the way.
+  // Reachability walk: every node exactly once, counting objects along the
+  // way.
   std::vector<uint8_t> visited(nodes_.size(), 0);
   std::unordered_set<ts::SeriesId> seen_ids;
   size_t objects = 0;
-  size_t tombstones = 0;
   std::vector<int32_t> stack;
   if (root_ >= 0) stack.push_back(root_);
   while (!stack.empty()) {
@@ -772,19 +583,9 @@ Status VpTreeIndex::Validate(storage::SequenceSource* source) const {
           << node.median;
       v.Check(node.bucket.empty())
           << "internal node " << id << " carries a leaf bucket";
-      if (node.vantage_deleted) {
-        ++tombstones;
-        v.Check(node.pinned_row.empty() ||
-                node.pinned_row.size() == static_cast<size_t>(series_length_))
-            << "node " << id << " pins a row of wrong length "
-            << node.pinned_row.size();
-      } else {
-        ++objects;
-        v.Check(node.pinned_row.empty())
-            << "live vantage node " << id << " carries a pinned row";
-        v.Check(seen_ids.insert(node.vantage.id).second)
-            << "series " << node.vantage.id << " indexed twice";
-      }
+      ++objects;
+      v.Check(seen_ids.insert(node.vantage.id).second)
+          << "series " << node.vantage.id << " indexed twice";
       if (node.left != -1) stack.push_back(node.left);
       if (node.right != -1) stack.push_back(node.right);
     }
@@ -794,27 +595,18 @@ Status VpTreeIndex::Validate(storage::SequenceSource* source) const {
   }
   v.Check(objects == num_objects_)
       << "census finds " << objects << " objects, index claims " << num_objects_;
-  v.Check(tombstones == num_tombstones_)
-      << "census finds " << tombstones << " tombstones, index claims "
-      << num_tombstones_;
 
   // Metric invariant, checked with exact distances when full sequences are
-  // available: the construction and insertion both route dist < median to
-  // the left child, so every left-subtree object lies within the radius and
-  // every right-subtree object at (or beyond) it.
+  // available: the construction routes dist < median to the left child, so
+  // every left-subtree object lies within the radius and every
+  // right-subtree object at (or beyond) it.
   if (source != nullptr && v.ok()) {
     constexpr double kSlack = 1e-9;  // FP noise across distance re-computation.
     for (int32_t id = 0; id < limit; ++id) {
       const Node& node = nodes_[static_cast<size_t>(id)];
       if (node.leaf) continue;
-      // Tombstoned vantages with a pinned row are validated against the pin:
-      // the store's row for that id may legitimately differ by now.
-      std::vector<double> vantage_row;
-      if (node.vantage_deleted && !node.pinned_row.empty()) {
-        vantage_row = node.pinned_row;
-      } else {
-        S2_ASSIGN_OR_RETURN(vantage_row, source->Get(node.vantage.id));
-      }
+      S2_ASSIGN_OR_RETURN(std::vector<double> vantage_row,
+                          source->Get(node.vantage.id));
       for (int side = 0; side < 2; ++side) {
         const int32_t child = side == 0 ? node.left : node.right;
         if (child == -1) continue;
@@ -828,7 +620,7 @@ Status VpTreeIndex::Validate(storage::SequenceSource* source) const {
           if (n.leaf) {
             for (const Entry& entry : n.bucket) ids.push_back(entry.id);
           } else {
-            if (!n.vantage_deleted) ids.push_back(n.vantage.id);
+            ids.push_back(n.vantage.id);
             if (n.left != -1) sub.push_back(n.left);
             if (n.right != -1) sub.push_back(n.right);
           }

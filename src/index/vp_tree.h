@@ -32,6 +32,11 @@ namespace s2::index {
 ///   dropped and the survivors are verified against the full sequences, in
 ///   ascending-LB order with early termination — exactly the paper's
 ///   `NNSearch` (Figure 11) generalized to k neighbors.
+///
+/// A static index: built once over a fixed corpus, searched, saved and
+/// loaded. It serves the paper's figure benches; the serving engine answers
+/// exact k-NN with a summary-bounded pass instead (core::S2Engine, which
+/// measured faster on RAM-resident shards).
 class VpTreeIndex {
  public:
   struct Options {
@@ -81,12 +86,6 @@ class VpTreeIndex {
   static Result<VpTreeIndex> Build(const std::vector<std::vector<double>>& rows,
                                    const Options& options);
 
-  /// An index over zero sequences of the given length, grown purely through
-  /// `Insert` — the delta tier of the streaming (LSM-style) layer starts
-  /// here. Searches over an empty index return no neighbors.
-  static Result<VpTreeIndex> CreateEmpty(const Options& options,
-                                         uint32_t series_length);
-
   /// Exact k-nearest-neighbor search. `source` provides the full sequences
   /// for the verification phase (RAM or disk); `stats` is optional.
   ///
@@ -113,42 +112,6 @@ class VpTreeIndex {
                                                    size_t k, SearchStats* stats,
                                                    SharedRadius* shared = nullptr) const;
 
-  /// Dynamic maintenance. The paper notes that dynamic VP-tree extensions
-  /// (Fu et al.) "can be implemented on top of the proposed search
-  /// mechanisms"; these methods provide them.
-  ///
-  /// Inserts the standardized sequence `row` under a fresh `id`. Routing
-  /// descends by *exact* distance to each vantage point, whose full
-  /// representation is fetched from `source` (one random read per level —
-  /// the index itself only holds compressed data). A leaf that grows beyond
-  /// `2 * leaf_size` is split in place, again using exact distances from
-  /// `source`. `source->Get(id)` must already return `row` (register the
-  /// sequence with the store before inserting).
-  Status Insert(ts::SeriesId id, const std::vector<double>& row,
-                storage::SequenceSource* source);
-
-  /// Removes a sequence. Leaf objects are erased outright; vantage points
-  /// are tombstoned — kept for routing but excluded from all results — the
-  /// standard deletion strategy for metric trees. Returns NotFound for
-  /// unknown ids.
-  ///
-  /// `pinned_row`, when non-null, is copied into the node if the removal
-  /// tombstones a vantage point. It must be the row the vantage was indexed
-  /// under; later `Insert` routing and `Validate` use the pinned copy
-  /// instead of `source->Get(id)`, so the id's row in the store may change
-  /// after the removal (the streaming append path removes a series, updates
-  /// its stored row, and re-inserts it elsewhere — without the pin, routing
-  /// against the *new* row would contradict the medians and subtree
-  /// membership built around the old one). Pass null only when the backing
-  /// store stays frozen for the tombstone's lifetime. Pinned rows are not
-  /// serialized by `Save`; compact tombstones away before saving.
-  Status Remove(ts::SeriesId id,
-                const std::vector<double>* pinned_row = nullptr);
-
-  /// Number of tombstoned vantage points (candidates for a rebuild when
-  /// this grows large).
-  size_t num_tombstones() const { return num_tombstones_; }
-
   /// Serializes the whole index (options, topology, compressed features) so
   /// a later session can `Load` it without re-running the DFT or the
   /// exact-distance construction — the S2 tool's "compressed features are
@@ -163,8 +126,8 @@ class VpTreeIndex {
                                   io::Env* env = nullptr);
 
   /// Structural self-check: child pointers in range, no node reachable
-  /// twice, every node reachable from the root, object/tombstone counts
-  /// matching the per-node census, leaves childless and internals
+  /// twice, every node reachable from the root, the object count matching
+  /// the per-node census, leaves childless and internals
   /// bucket-free, split radii finite and non-negative, and no id indexed
   /// twice. When `source` is non-null, additionally verifies the metric
   /// invariant with exact distances: every object in a left subtree lies
@@ -197,13 +160,7 @@ class VpTreeIndex {
     int32_t left = -1;           // Child node ids; -1 when absent.
     int32_t right = -1;
     bool leaf = false;
-    bool vantage_deleted = false;  // Tombstone: route through, never report.
     std::vector<Entry> bucket;   // Leaf objects.
-    // Full row the vantage was indexed under, pinned at tombstoning time so
-    // routing/validation survive the store's row changing afterwards (see
-    // Remove). Empty when no row was pinned. Per-node, not per-id: the same
-    // id may be tombstoned again later under a different row.
-    std::vector<double> pinned_row;
   };
 
   VpTreeIndex(Options options, std::vector<Node> nodes, int32_t root,
@@ -218,15 +175,10 @@ class VpTreeIndex {
                   std::vector<Candidate>* candidates, BestList* upper_bounds,
                   SearchStats* stats, SharedRadius* shared) const;
 
-  Result<repr::CompressedSpectrum> CompressRow(const std::vector<double>& row) const;
-  Status SplitLeaf(int32_t node_id, storage::SequenceSource* source);
-  bool ContainsId(ts::SeriesId id) const;
-
   Options options_;
   std::vector<Node> nodes_;
   int32_t root_ = -1;
   size_t num_objects_ = 0;
-  size_t num_tombstones_ = 0;
   uint32_t series_length_ = 0;
 };
 

@@ -201,11 +201,8 @@ S2Server::S2Server(shard::ShardedEngine engine, const Options& options)
       retry_giveups_(metrics_.counter("server_retry_giveups")),
       breaker_trips_(metrics_.counter("server_breaker_trips")),
       stream_appends_(metrics_.counter("stream_appends")),
-      stream_compactions_(metrics_.counter("stream_compactions")),
-      stream_compacted_series_(metrics_.counter("stream_compacted_series")),
       stream_replay_records_(metrics_.counter("stream_replay_records")),
       stream_append_latency_(metrics_.histogram("stream_append_latency")),
-      stream_compaction_latency_(metrics_.histogram("stream_compaction_latency")),
       monitor_subscribes_(metrics_.counter("monitor_subscriptions")),
       monitor_unsubscribes_(metrics_.counter("monitor_unsubscribes")),
       monitor_alerts_fired_(metrics_.counter("monitor_alerts_fired")),
@@ -231,10 +228,10 @@ S2Server::S2Server(shard::ShardedEngine engine, const Options& options)
     checkpoint_store_ = std::make_unique<ckpt::CheckpointStore>(
         options.wal_env, options.wal_path);
   }
-  // One dedicated maintenance thread keeps compaction and checkpointing
-  // off the query workers (both take the writer lock at least briefly;
-  // running them on a scheduler worker would stall a serving slot).
-  if (options.compaction_threshold > 0 || checkpoint_store_ != nullptr) {
+  // One dedicated maintenance thread keeps background checkpoints off the
+  // query workers (a checkpoint takes the writer lock at least briefly;
+  // running it on a scheduler worker would stall a serving slot).
+  if (checkpoint_store_ != nullptr) {
     maintenance_ = std::make_unique<exec::ThreadPool>(1);
   }
   // The scheduler is built last: its workers may call Execute (via the
@@ -326,8 +323,8 @@ QueryResponse S2Server::Execute(const QueryRequest& request) {
       if (options_.degrade_on_failure) {
         // Ladder step 2, still under the shared lock (the fallback reads the
         // engine's RAM rows). Degraded answers are exact but bypass the
-        // index, so they are deliberately not cached: the next request
-        // probes the primary path again.
+        // primary path, so they are deliberately not cached: the next
+        // request probes the primary path again.
         response = Degrade(request, std::move(response));
       }
     } else {
@@ -372,8 +369,8 @@ QueryResponse S2Server::Degrade(const QueryRequest& request,
           approx_candidates_->Record(answer.bound.candidates);
           return fallback;
         }
-        // The approximate tier is disabled or unusable: fall through to the
-        // exact RAM scan, rung 2b.
+        // The approximate tier failed too: fall through to the exact RAM
+        // scan, rung 2b.
       }
       Fill(engine_.SimilarToExact(request.id, request.k), &fallback.neighbors,
            &fallback);
@@ -654,62 +651,8 @@ Status S2Server::AppendPoint(ts::SeriesId id, double value) {
   stream_appends_->Increment();
   stream_append_latency_->Record(static_cast<uint64_t>(Since(start).count()));
   SyncMonitorMetrics();
-  MaybeScheduleCompaction();
   MaybeScheduleCheckpoint();
   return Status::OK();
-}
-
-Status S2Server::Compact() {
-  const Clock::time_point start = Clock::now();
-  sync::WriterMutexLock lock(&engine_mu_);
-  const size_t before = engine_.TotalDeltaSize();
-  if (before == 0) return Status::OK();
-  S2_RETURN_NOT_OK(engine_.Compact());
-  // No cache invalidation: compaction moves series between tiers without
-  // changing any answer (the two-tier search is exact).
-  stream_compactions_->Increment();
-  stream_compacted_series_->Increment(before - engine_.TotalDeltaSize());
-  stream_compaction_latency_->Record(
-      static_cast<uint64_t>(Since(start).count()));
-  return Status::OK();
-}
-
-void S2Server::MaybeScheduleCompaction() {
-  if (maintenance_ == nullptr || options_.compaction_threshold == 0) return;
-  // The caller holds the exclusive engine lock, so this delta-size snapshot
-  // and the inflight-flag transition are one atomic scheduling step — no
-  // append can interleave between the check and the claim.
-  if (engine_.TotalDeltaSize() < options_.compaction_threshold) return;
-  // At most one background compaction in flight. Appends that cross the
-  // threshold while one runs skip scheduling here; BackgroundCompaction's
-  // locked re-check before releasing the flag picks their delta up.
-  if (compaction_inflight_.exchange(true, std::memory_order_acq_rel)) return;
-  const bool submitted =
-      maintenance_->Submit([this] { BackgroundCompaction(); });
-  if (!submitted) {
-    compaction_inflight_.store(false, std::memory_order_release);
-  }
-}
-
-void S2Server::BackgroundCompaction() {
-  for (;;) {
-    // Errors are not fatal to serving: the delta tier keeps answering
-    // queries exactly; the next threshold crossing retries the merge.
-    const Status status = Compact();
-    // Release the flag only after re-reading the delta size under the same
-    // lock appends take their snapshot under. Every threshold-crossing
-    // append now either observes the flag cleared (and schedules) or has
-    // its delta observed by this re-check (and compacted by the next lap) —
-    // previously the flag was cleared unlocked after Compact(), and a burst
-    // whose final appends landed mid-compaction left the delta above
-    // threshold forever once appends stopped.
-    sync::WriterMutexLock lock(&engine_mu_);
-    if (!status.ok() ||
-        engine_.TotalDeltaSize() < options_.compaction_threshold) {
-      compaction_inflight_.store(false, std::memory_order_release);
-      return;
-    }
-  }
 }
 
 Status S2Server::CaptureSnapshot(
@@ -884,9 +827,7 @@ S2Server::ApproxInfo S2Server::approx_info() {
   ApproxInfo info;
   for (size_t s = 0; s < engine_.num_shards(); ++s) {
     const approx::SummaryIndex* summary = engine_.shard(s).summary();
-    if (summary == nullptr) return ApproxInfo{};
     if (s == 0) {
-      info.enabled = true;
       info.summary_dims = summary->config().dims;
       info.summary_cells = summary->config().cells;
       info.config_fingerprint = summary->config().Fingerprint();
@@ -911,9 +852,7 @@ S2Server::StreamInfo S2Server::stream_info() {
   info.replayed_records = replayed_records_;
   info.replay_dropped_bytes = replay_dropped_bytes_;
   info.replay_time = replay_time_;
-  info.delta_size = engine_.TotalDeltaSize();
   info.append_count = engine_.TotalAppendCount();
-  info.compaction_count = engine_.TotalCompactionCount();
   return info;
 }
 

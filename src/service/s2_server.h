@@ -33,8 +33,8 @@ namespace s2::service {
 /// s2_engine.h and sharded_engine.h); `AddSeries` takes it exclusively and
 /// invalidates every cache entry a new series could change (similarity and
 /// query-by-burst; cached periods/bursts of existing series survive) before
-/// returning. Cache hits bypass the engine entirely: no lock, no VP-tree
-/// traversal, no sequence-store reads.
+/// returning. Cache hits bypass the engine entirely: no lock, no summary
+/// pass, no sequence-store reads.
 ///
 /// There is one topology: the server always runs a `shard::ShardedEngine`
 /// (scatter-gather over N shards). A corpus that is not partitioned is a
@@ -101,9 +101,8 @@ class S2Server {
     io::Env* wal_env = nullptr;
     /// Records per WAL fsync group (see `stream::Wal::Options::sync_every`).
     size_t wal_sync_every = 1;
-    /// Delta-tier size (summed across shards) at which an append schedules a
-    /// background compaction on the maintenance thread. 0 disables automatic
-    /// compaction — call `Compact()` yourself.
+    /// Ignored. Exists only for s2bench and goes with the benchmark's next
+    /// change.
     size_t compaction_threshold = 64;
 
     // --- Checkpointing (s2::ckpt; requires a WAL) ---------------------------
@@ -148,9 +147,10 @@ class S2Server {
     uint64_t replay_dropped_bytes = 0;
     /// Wall time of open + replay.
     std::chrono::microseconds replay_time{0};
-    /// Series currently living in delta tiers (all shards).
-    size_t delta_size = 0;
     uint64_t append_count = 0;
+    /// Always 0. Both exist only for s2bench and go with the benchmark's
+    /// next change.
+    size_t delta_size = 0;
     uint64_t compaction_count = 0;
   };
 
@@ -177,14 +177,13 @@ class S2Server {
   /// Approximate-tier snapshot (point-in-time gauges; the monotone side
   /// lives in the `approx_*` counters).
   struct ApproxInfo {
-    bool enabled = false;
     /// Summary projection width / quantization cells (the global config —
     /// identical on every shard by the ShardedEngine invariant).
     size_t summary_dims = 0;
     size_t summary_cells = 0;
     /// Resident envelope-plane bytes, summed over shards.
     size_t summary_bytes = 0;
-    /// Series with live summary envelopes (== corpus size when enabled).
+    /// Series with live summary envelopes (== corpus size).
     size_t indexed_series = 0;
     /// Content fingerprint of the shared summary config (rebuild/recovery
     /// determinism checks compare these across runs).
@@ -241,15 +240,8 @@ class S2Server {
   /// configured the append is durably acknowledged *before* it is applied;
   /// a logged append whose apply then fails surfaces the error but stays in
   /// the log, so the next replay re-applies it. The result cache drops every
-  /// entry the slide can change (`InvalidateForAppend`), and crossing
-  /// `compaction_threshold` schedules a background delta compaction.
+  /// entry the slide can change (`InvalidateForAppend`).
   Status AppendPoint(ts::SeriesId id, double value) S2_EXCLUDES(engine_mu_);
-
-  /// Synchronously merges every delta tier into its main index (exclusive
-  /// engine access). Compaction moves series between tiers without changing
-  /// any answer — the two-tier search is exact — so the cache keeps its
-  /// entries. Also the body of the background maintenance task.
-  Status Compact() S2_EXCLUDES(engine_mu_);
 
   /// Opens the WAL at `options.wal_path` and replays it into the engine.
   /// `Build` calls this automatically; call it yourself exactly once before
@@ -364,20 +356,6 @@ class S2Server {
   void SyncResilienceMetrics() S2_REQUIRES_SHARED(engine_mu_)
       S2_EXCLUDES(export_mu_);
 
-  /// Schedules the background compaction task when the delta tier has
-  /// crossed the threshold and none is already in flight. Caller holds the
-  /// exclusive lock — the delta-size snapshot and the inflight-flag
-  /// transition form one atomic scheduling step under the same lock every
-  /// append holds, which is what makes the handoff below airtight.
-  void MaybeScheduleCompaction() S2_REQUIRES(engine_mu_);
-
-  /// The maintenance-thread body: compacts, then re-checks the delta size
-  /// *under the engine lock* before clearing the inflight flag — appends
-  /// that crossed the threshold while this ran skipped scheduling (the flag
-  /// was set), so clearing without the locked re-check would strand their
-  /// delta above threshold forever once appends stop (missed wakeup).
-  void BackgroundCompaction() S2_EXCLUDES(engine_mu_);
-
   /// Applies one replayed monitor-WAL op.
   Status ApplyMonitorOp(const monitor::MonitorOp& op)
       S2_REQUIRES(engine_mu_);
@@ -424,8 +402,9 @@ class S2Server {
   Status DoCheckpoint() S2_EXCLUDES(engine_mu_);
 
   /// Schedules a background checkpoint when an append/byte threshold has
-  /// been crossed and none is in flight. Caller holds the exclusive lock
-  /// (same scheduling discipline as MaybeScheduleCompaction).
+  /// been crossed and none is in flight. Caller holds the exclusive lock,
+  /// so the records-since-anchor snapshot and the inflight-flag transition
+  /// form one atomic scheduling step.
   void MaybeScheduleCheckpoint() S2_REQUIRES(engine_mu_);
 
   /// The maintenance-thread checkpoint task: runs DoCheckpoint, counts
@@ -462,11 +441,8 @@ class S2Server {
   Counter* breaker_trips_ = nullptr;
   // Streaming metrics.
   Counter* stream_appends_ = nullptr;          ///< Acknowledged + applied appends.
-  Counter* stream_compactions_ = nullptr;      ///< Completed delta merges.
-  Counter* stream_compacted_series_ = nullptr; ///< Series moved delta -> main.
   Counter* stream_replay_records_ = nullptr;   ///< WAL records applied at open.
   LatencyHistogram* stream_append_latency_ = nullptr;
-  LatencyHistogram* stream_compaction_latency_ = nullptr;
   // Standing-query metrics.
   Counter* monitor_subscribes_ = nullptr;       ///< Acknowledged registrations.
   Counter* monitor_unsubscribes_ = nullptr;     ///< Acknowledged cancellations.
@@ -496,8 +472,7 @@ class S2Server {
   uint64_t exported_delivered_ S2_GUARDED_BY(export_mu_) = 0;
   uint64_t exported_evals_ S2_GUARDED_BY(export_mu_) = 0;
   // Streaming state. The WAL and replay stats are written once under the
-  // exclusive lock in OpenWal; the maintenance pool runs at most one
-  // compaction at a time, gated by the inflight flag.
+  // exclusive lock in OpenWal.
   std::unique_ptr<stream::Wal> wal_ S2_GUARDED_BY(engine_mu_);
   size_t replayed_records_ S2_GUARDED_BY(engine_mu_) = 0;
   uint64_t replay_dropped_bytes_ S2_GUARDED_BY(engine_mu_) = 0;
@@ -512,7 +487,7 @@ class S2Server {
   uint64_t monitor_replay_dropped_bytes_ S2_GUARDED_BY(engine_mu_) = 0;
   // Checkpoint state. `Recover` seeds the recovery_* anchors before
   // OpenWal so tail replay starts at the snapshot's stream position; the
-  // in-flight flag single-files checkpoints exactly like compactions.
+  // in-flight flag single-files checkpoints on the maintenance thread.
   std::unique_ptr<ckpt::CheckpointStore> checkpoint_store_;
   uint64_t recovery_anchor_appends_ S2_GUARDED_BY(engine_mu_) = 0;
   uint64_t recovery_anchor_monitor_ops_ S2_GUARDED_BY(engine_mu_) = 0;
@@ -525,8 +500,9 @@ class S2Server {
   uint64_t last_checkpoint_generation_ S2_GUARDED_BY(engine_mu_) = 0;
   uint64_t last_checkpoint_anchor_appends_ S2_GUARDED_BY(engine_mu_) = 0;
   uint64_t last_checkpoint_anchor_monitor_ops_ S2_GUARDED_BY(engine_mu_) = 0;
+  // The background checkpointer's one thread; null without a checkpoint
+  // store.
   std::unique_ptr<exec::ThreadPool> maintenance_;
-  std::atomic<bool> compaction_inflight_{false};
   std::atomic<bool> checkpoint_inflight_{false};
   std::unique_ptr<Scheduler> scheduler_;
 };

@@ -30,11 +30,7 @@ std::vector<index::Neighbor> MergeNeighbors(
   for (auto& part : locals) {
     merged.insert(merged.end(), part.begin(), part.end());
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const index::Neighbor& a, const index::Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
+  std::sort(merged.begin(), merged.end(), index::NeighborLess);
   if (merged.size() > k) merged.resize(k);
   return merged;
 }
@@ -77,8 +73,7 @@ Result<ShardedEngine> ShardedEngine::Build(ts::Corpus corpus,
   // single shard trains on the same rows in the same order itself, so it
   // skips this copy of the standardized corpus.
   core::S2Engine::Options engine_options = options.engine;
-  if (n > 1 && engine_options.approx.enabled &&
-      engine_options.approx.preset_config == nullptr) {
+  if (n > 1 && engine_options.approx.preset_config == nullptr) {
     std::vector<std::vector<double>> standardized;
     standardized.reserve(corpus.size());
     for (const ts::TimeSeries& series : corpus.series()) {
@@ -109,8 +104,7 @@ Result<ShardedEngine> ShardedEngine::Build(ts::Corpus corpus,
     engine.local_to_global_[shard_idx].push_back(g);
   }
 
-  // Shard builds are independent (index construction dominates); shard 0
-  // builds on the calling thread, so a one-shard build starts no thread.
+  // Shard builds are independent; shard 0 builds on the calling thread, so a one-shard build starts no thread.
   engine.shards_.resize(n);
   std::vector<Status> statuses(n);
   engine.ScatterGather(
@@ -224,28 +218,9 @@ Status ShardedEngine::AppendPoint(ts::SeriesId id, double value) {
   return shards_[p.shard]->AppendPoint(p.local, value);
 }
 
-Status ShardedEngine::Compact() {
-  for (const auto& shard : shards_) {
-    S2_RETURN_NOT_OK(shard->Compact());
-  }
-  return Status::OK();
-}
-
-size_t ShardedEngine::TotalDeltaSize() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->delta_size();
-  return total;
-}
-
 uint64_t ShardedEngine::TotalAppendCount() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->append_count();
-  return total;
-}
-
-uint64_t ShardedEngine::TotalCompactionCount() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->compaction_count();
   return total;
 }
 
@@ -680,18 +655,12 @@ Status ShardedEngine::ValidateInvariants() const {
     v.Check(local_to_global_[p.shard][p.local] == g)
         << "placement maps disagree for global id " << g;
   }
-  // Every shard must run the SAME summary configuration (or none at all) —
-  // the approximate tier's shard-count invisibility depends on it.
-  const approx::SummaryIndex* first_summary = shards_[0]->summary();
+  // Every shard must run the SAME summary configuration — the approximate
+  // tier's shard-count invisibility depends on it.
+  const uint64_t fingerprint = shards_[0]->summary()->config().Fingerprint();
   for (size_t s = 1; s < shards_.size(); ++s) {
-    const approx::SummaryIndex* summary = shards_[s]->summary();
-    v.Check((summary == nullptr) == (first_summary == nullptr))
-        << "shard " << s << " disagrees with shard 0 on approx-tier presence";
-    if (summary != nullptr && first_summary != nullptr) {
-      v.Check(summary->config().Fingerprint() ==
-              first_summary->config().Fingerprint())
-          << "shard " << s << " runs a different summary config than shard 0";
-    }
+    v.Check(shards_[s]->summary()->config().Fingerprint() == fingerprint)
+        << "shard " << s << " runs a different summary config than shard 0";
   }
   size_t subs = 0;
   for (const auto& shard : shards_) subs += shard->monitor_registry().size();

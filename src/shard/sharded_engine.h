@@ -113,25 +113,18 @@ class ShardedEngine {
   /// Total number of series across all shards.
   size_t size() const { return placements_.size(); }
 
-  // --- Streaming (owner-routed, per-shard deltas) --------------------------
+  // --- Streaming (owner-routed) --------------------------------------------
 
   /// Appends one point to the series' owning shard: the window slides on
-  /// that shard alone, the series moves into that shard's delta tier, and
-  /// every other shard is untouched. Because all similarity verbs already
-  /// scatter over every shard and each shard searches its own delta
-  /// alongside its main tree, shard-count invisibility is preserved with no
-  /// extra plumbing. Writer: serialize externally (same contract as
-  /// `AddSeries`).
+  /// that shard alone and every other shard is untouched. Because all
+  /// similarity verbs scatter over every shard, shard-count invisibility is
+  /// preserved with no extra plumbing. Writer: serialize externally (same
+  /// contract as `AddSeries`).
   Status AppendPoint(ts::SeriesId id, double value);
 
-  /// Merges every shard's delta tier into its main index. Writer.
-  Status Compact();
-
-  /// Summed delta-tier sizes / append counts / compaction counts across
-  /// shards (the server exports these as stream metrics).
-  size_t TotalDeltaSize() const;
+  /// Summed append counts across shards (the server exports it as a stream
+  /// metric).
   uint64_t TotalAppendCount() const;
-  uint64_t TotalCompactionCount() const;
 
   /// The raw series for a global id (owner shard's corpus row).
   Result<const ts::TimeSeries*> Series(ts::SeriesId id) const;
@@ -180,7 +173,7 @@ class ShardedEngine {
   Result<std::vector<index::Neighbor>> SimilarToDtw(
       ts::SeriesId id, size_t k, QueryStats* stats = nullptr) const;
 
-  /// Degraded-path scans (exact, no index, no disk I/O), scatter-gathered
+  /// Degraded-path scans (exact, no summary, no disk I/O), scatter-gathered
   /// over the shards' RAM rows.
   Result<std::vector<index::Neighbor>> SimilarToExact(ts::SeriesId id,
                                                       size_t k) const;

@@ -38,26 +38,6 @@ Result<std::unique_ptr<InMemorySequenceSource>> InMemorySequenceSource::Create(
       new InMemorySequenceSource(std::move(rows), length));
 }
 
-Result<ts::SeriesId> InMemorySequenceSource::Append(std::vector<double> row) {
-  if (rows_.empty() && length_ == 0) length_ = row.size();
-  if (row.size() != length_) {
-    return Status::InvalidArgument("InMemorySequenceSource: row length mismatch");
-  }
-  rows_.push_back(std::move(row));
-  return static_cast<ts::SeriesId>(rows_.size() - 1);
-}
-
-Status InMemorySequenceSource::Update(ts::SeriesId id, std::vector<double> row) {
-  if (id >= rows_.size()) {
-    return Status::NotFound("InMemorySequenceSource: id out of range");
-  }
-  if (row.size() != length_) {
-    return Status::InvalidArgument("InMemorySequenceSource: row length mismatch");
-  }
-  rows_[id] = std::move(row);
-  return Status::OK();
-}
-
 Result<std::vector<double>> InMemorySequenceSource::Get(ts::SeriesId id) {
   if (id >= rows_.size()) {
     return Status::NotFound("InMemorySequenceSource: id out of range");

@@ -22,9 +22,9 @@ namespace s2::storage {
 /// data, while exposing read counters for I/O accounting.
 ///
 /// Thread safety: `Get` may be called concurrently from multiple threads as
-/// long as no thread is mutating the store (e.g. `Append`); read counters
-/// are atomic. `ResetCounters` is safe but racy against in-flight reads
-/// (counts may be slightly off — acceptable for instrumentation).
+/// long as no thread is mutating the store (e.g. `UpdateRecord`); read
+/// counters are atomic. `ResetCounters` is safe but racy against in-flight
+/// reads (counts may be slightly off — acceptable for instrumentation).
 class SequenceSource {
  public:
   virtual ~SequenceSource() = default;
@@ -69,15 +69,6 @@ class InMemorySequenceSource : public SequenceSource {
     return reads_.load(std::memory_order_relaxed);
   }
   void ResetCounters() override { reads_.store(0, std::memory_order_relaxed); }
-
-  /// Appends a row and returns its id. The row must match the store's
-  /// length (an empty store adopts the first row's length).
-  Result<ts::SeriesId> Append(std::vector<double> row);
-
-  /// Replaces the row stored under `id` (the streaming append path slides a
-  /// series' window in place). Not safe against concurrent `Get`s — callers
-  /// hold the engine writer lock.
-  Status Update(ts::SeriesId id, std::vector<double> row);
 
  private:
   InMemorySequenceSource(std::vector<std::vector<double>> rows, size_t length)

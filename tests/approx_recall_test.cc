@@ -46,8 +46,6 @@ ts::Corpus MakeCorpus(uint64_t seed) {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 
@@ -221,17 +219,6 @@ TEST(ApproxRecallTest, RebuildFromSameCorpusIsDeterministic) {
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   ExpectSameAnswer(*ra, *rb);
-}
-
-TEST(ApproxRecallTest, DisabledTierReportsInvalidArgument) {
-  core::S2Engine::Options options = EngineOptions();
-  options.approx.enabled = false;
-  auto engine = core::S2Engine::Build(MakeCorpus(kSeeds[0]), options);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->summary(), nullptr);
-  QueryParams params;
-  auto answer = engine->ApproxKnn(0, params);
-  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ApproxRecallTest, AddSeriesKeepsSummaryInSync) {

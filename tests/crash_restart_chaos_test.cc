@@ -59,15 +59,12 @@ ts::Corpus MakeCorpus() {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 
 S2Server::Options ChaosOptions(io::Env* env, const std::string& dir) {
   S2Server::Options options;
   options.scheduler.threads = 1;
-  options.compaction_threshold = 0;
   options.wal_path = dir + "/wal";
   options.wal_env = env;
   options.checkpoint_enabled = true;
@@ -154,7 +151,6 @@ uint64_t CountAppends(uint64_t n) {
 std::unique_ptr<S2Server> BuildShadow(uint64_t n) {
   S2Server::Options options;
   options.scheduler.threads = 1;
-  options.compaction_threshold = 0;
   auto server = S2Server::Build(MakeCorpus(), EngineOptions(), options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   std::unique_ptr<S2Server> shadow = std::move(server).ValueOrDie();

@@ -43,7 +43,6 @@ std::unique_ptr<Fixture> MakeFixture(
   EXPECT_TRUE(corpus.ok());
   shard::ShardedEngine::Options options;
   options.num_shards = 1;
-  options.engine.index.budget_c = 8;
   options.engine.disk_store_path = "store.bin";
   options.engine.env = &fx->fault_env;
   options.engine.retry.max_attempts = 4;
@@ -236,7 +235,6 @@ std::unique_ptr<ShardedFixture> MakeShardedFixture(
   auto corpus = qlog::GenerateCorpus(spec);
   EXPECT_TRUE(corpus.ok());
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
   options.disk_store_path = "store.bin";
   options.env = &fx->healthy;
   options.retry.max_attempts = 4;

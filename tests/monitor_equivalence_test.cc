@@ -38,8 +38,6 @@ ts::Corpus MakeCorpus() {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 
@@ -47,7 +45,6 @@ service::S2Server::Options ServerOptions(size_t shards) {
   service::S2Server::Options options;
   options.scheduler.threads = 1;
   options.cache_capacity = 0;
-  options.compaction_threshold = 0;  // Manual compaction only.
   options.shards = shards;
   return options;
 }
@@ -99,7 +96,6 @@ void SetupSubscriptions(service::S2Server* server, const ts::Corpus& corpus) {
 /// The deterministic append schedule: the four watched series take turns,
 /// with the amplitude regime flipping every 16 steps so moving averages
 /// (and standardized rows) swing across every subscription's thresholds.
-/// A mid-schedule compaction checks alerts don't care about index tiers.
 void DriveAppends(service::S2Server* server) {
   Rng rng(kSeed + 1);
   const ts::SeriesId targets[] = {0, 5, 3, 7};
@@ -112,7 +108,6 @@ void DriveAppends(service::S2Server* server) {
     const double value =
         hot ? rng.Uniform(3000.0, 5000.0) : rng.Uniform(0.0, 10.0);
     ASSERT_TRUE(server->AppendPoint(id, value).ok()) << "step " << step;
-    if (step == 47) ASSERT_TRUE(server->Compact().ok());
   }
 }
 

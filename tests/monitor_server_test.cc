@@ -33,14 +33,11 @@ ts::Corpus MakeCorpus() {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 
 std::unique_ptr<S2Server> MakeServer(S2Server::Options options) {
   options.scheduler.threads = 1;
-  options.compaction_threshold = 0;
   auto server = S2Server::Build(MakeCorpus(), EngineOptions(), options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(server).ValueOrDie();

@@ -48,7 +48,6 @@ ts::Corpus PaperStyleCorpus(size_t extra, size_t n_days, uint64_t seed) {
 
 S2Engine MakeEngine(size_t extra = 60, size_t n_days = 512, uint64_t seed = 5) {
   S2Engine::Options options;
-  options.index.budget_c = 16;
   auto engine = S2Engine::Build(PaperStyleCorpus(extra, n_days, seed), options);
   EXPECT_TRUE(engine.ok());
   return std::move(engine).ValueOrDie();
@@ -202,7 +201,6 @@ TEST(S2EngineTest, DiskBackedEngineGivesSameAnswers) {
   ts::Corpus corpus = PaperStyleCorpus(30, 256, 12);
 
   S2Engine::Options ram_options;
-  ram_options.index.budget_c = 8;
   auto ram = S2Engine::Build(corpus, ram_options);
   ASSERT_TRUE(ram.ok());
 
@@ -262,7 +260,6 @@ TEST(S2EngineTest, AddSeriesRejectedOnDiskEngines) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "s2_engine_add_disk.bin").string();
   S2Engine::Options options;
-  options.index.budget_c = 8;
   options.disk_store_path = path;
   auto engine = S2Engine::Build(PaperStyleCorpus(10, 128, 23), options);
   ASSERT_TRUE(engine.ok());
@@ -312,7 +309,6 @@ TEST(S2EngineTest, SimilarToDtwSeesAppendedPoints) {
   // DTW distance 0, and every answer equals a brute-force banded scan over
   // the current rows.
   S2Engine::Options options;
-  options.index.budget_c = 16;
   options.dtw_window = 8;
   auto engine = S2Engine::Build(PaperStyleCorpus(20, 128, 41), options);
   ASSERT_TRUE(engine.ok());
@@ -360,7 +356,6 @@ TEST(S2EngineTest, DiskBackedEngineGivesSameDtwAnswers) {
   io::MemEnv env;
   ts::Corpus corpus = PaperStyleCorpus(30, 256, 44);
   S2Engine::Options ram_options;
-  ram_options.index.budget_c = 8;
   auto ram = S2Engine::Build(corpus, ram_options);
   ASSERT_TRUE(ram.ok());
   S2Engine::Options disk_options = ram_options;

@@ -9,12 +9,15 @@
 
 #include "common/rng.h"
 #include "diag/check.h"
+#include "io/mem_env.h"
 #include "querylog/corpus_generator.h"
 
 namespace s2::service {
 namespace {
 
-shard::ShardedEngine MakeEngine(size_t num_shards = 1) {
+// `disk_env`, when set, makes the shards disk-resident stores in it.
+shard::ShardedEngine MakeEngine(size_t num_shards = 1,
+                                io::Env* disk_env = nullptr) {
   qlog::CorpusSpec spec;
   spec.num_series = 96;
   spec.n_days = 256;
@@ -23,7 +26,10 @@ shard::ShardedEngine MakeEngine(size_t num_shards = 1) {
   EXPECT_TRUE(corpus.ok());
   shard::ShardedEngine::Options options;
   options.num_shards = num_shards;
-  options.engine.index.budget_c = 8;
+  if (disk_env != nullptr) {
+    options.engine.disk_store_path = "server_test.store";
+    options.engine.env = disk_env;
+  }
   auto engine =
       shard::ShardedEngine::Build(std::move(corpus).ValueOrDie(), options);
   EXPECT_TRUE(engine.ok());
@@ -91,24 +97,29 @@ TEST(S2ServerTest, BadIdPropagatesEngineError) {
 }
 
 TEST(S2ServerTest, CacheHitBypassesEngineEntirely) {
-  auto server = MakeServer();
+  // Disk-resident, so the store's read counter can witness the bypass.
+  io::MemEnv env;
+  S2Server::Options options;
+  options.scheduler.threads = 4;
+  auto server = S2Server::Create(MakeEngine(1, &env), options);
   const QueryRequest request = Request(RequestKind::kSimilarTo, 1);
 
   QueryResponse cold = server->Execute(request);
   ASSERT_TRUE(cold.status.ok());
   EXPECT_FALSE(cold.cache_hit);
 
-  // A cache hit must not touch the VP-tree or the sequence store: the
+  // A cache hit must not touch the engine or the sequence store: the
   // engine-call counter and the store's read counter stay frozen.
   const uint64_t engine_calls =
       server->metrics().counter("server_engine_calls")->value();
-  const uint64_t store_reads = server->engine().source()->read_count();
+  const uint64_t store_reads = server->engine().retry_source()->read_count();
+  EXPECT_GT(store_reads, 0u);  // The cold query read rows from the store.
   QueryResponse warm = server->Execute(request);
   ASSERT_TRUE(warm.status.ok());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(server->metrics().counter("server_engine_calls")->value(),
             engine_calls);
-  EXPECT_EQ(server->engine().source()->read_count(), store_reads);
+  EXPECT_EQ(server->engine().retry_source()->read_count(), store_reads);
   ASSERT_EQ(warm.neighbors.size(), cold.neighbors.size());
   for (size_t i = 0; i < warm.neighbors.size(); ++i) {
     EXPECT_EQ(warm.neighbors[i].id, cold.neighbors[i].id);

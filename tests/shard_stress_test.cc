@@ -34,8 +34,6 @@ ts::Corpus MakeCorpus(uint64_t seed) {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 

@@ -38,8 +38,6 @@ ts::Corpus MakeCorpus(size_t num_series = kNumSeries) {
 ShardedEngine::Options MakeOptions(size_t num_shards) {
   ShardedEngine::Options options;
   options.num_shards = num_shards;
-  options.engine.index.budget_c = 8;
-  options.engine.index.leaf_size = 4;
   return options;
 }
 

@@ -77,8 +77,8 @@ TEST(StandardizeEdgeTest, NearZeroStddevStaysFinite) {
 
 // --- Streaming side: windows slid by S2Engine::AppendPoint ---
 
-// A one-series engine sized for short windows: 4-day burst detectors and a
-// 2-coefficient index budget (an 8-day window has 5 spectral bins).
+// A one-series engine sized for short windows: 4-day burst detectors (an
+// 8-day window has 5 spectral bins, fewer than the summary's 16 dims).
 core::S2Engine MakeEngine(const std::vector<double>& window) {
   ts::Corpus corpus;
   ts::TimeSeries series;
@@ -86,10 +86,8 @@ core::S2Engine MakeEngine(const std::vector<double>& window) {
   series.values = window;
   corpus.Add(std::move(series));
   core::S2Engine::Options options;
-  options.index.budget_c = 2;
   options.long_burst = burst::BurstDetector::Options{4, 1.5, true};
   options.short_burst = options.long_burst;
-  options.approx.enabled = false;
   auto engine = core::S2Engine::Build(std::move(corpus), options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).ValueOrDie();

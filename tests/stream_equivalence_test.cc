@@ -1,5 +1,5 @@
-// The acceptance bar for s2::stream: after ANY interleaving of appends,
-// compactions and queries, every query verb must answer exactly as a
+// The acceptance bar for s2::stream: after ANY interleaving of appends and
+// queries, every query verb must answer exactly as a
 // batch-rebuilt engine over the same final data — at shard counts
 // {1,2,3,8}, RAM- and disk-resident — and replaying the WAL after a
 // simulated crash
@@ -9,7 +9,7 @@
 // the corpus stays rectangular and "the same final data" is well-defined at
 // every step: a shadow copy of the series, slid in lockstep, is rebuilt
 // into a fresh batch engine at each checkpoint. Equality is bitwise
-// (EXPECT_EQ on doubles) on purpose: the delta tier answers through the
+// (EXPECT_EQ on doubles) on purpose: a streamed engine answers through the
 // same distance code over the same rows, so exact agreement is the bar —
 // same ids, same distances, same periods, same burst intervals and scores.
 
@@ -52,8 +52,6 @@ ts::Corpus MakeCorpus(uint64_t seed = kSeed) {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 
@@ -144,23 +142,18 @@ void ExpectAllVerbsEqual(const core::S2Engine& batch, const Streamed& streamed,
   }
 }
 
-/// Drives a deterministic interleaving of appends and compactions against
-/// `apply`/`compact`, shadowing every slide, and checks all verbs against a
-/// batch rebuild at periodic checkpoints (including one with a non-empty
-/// delta tier and one right after a compaction).
-template <typename AppendFn, typename CompactFn, typename Streamed>
+/// Drives a deterministic sequence of appends through `apply`, shadowing
+/// every slide, and checks all verbs against a batch rebuild at periodic
+/// checkpoints.
+template <typename AppendFn, typename Streamed>
 void RunInterleaving(std::vector<ts::TimeSeries> shadow, const AppendFn& apply,
-                     const CompactFn& compact, const Streamed& streamed,
-                     const std::string& what) {
+                     const Streamed& streamed, const std::string& what) {
   Rng rng(kSeed + 99);
   for (size_t step = 0; step < 60; ++step) {
     const auto id = static_cast<ts::SeriesId>((step * 13) % kNumSeries);
     const double value = rng.Uniform(0.0, 40.0);
     ASSERT_TRUE(apply(id, value).ok()) << what << " step " << step;
     SlideShadow(&shadow[id], value);
-    if (step % 25 == 24) {
-      ASSERT_TRUE(compact().ok()) << what << " step " << step;
-    }
     if (step % 20 == 19) {
       const core::S2Engine batch = BatchRebuild(shadow);
       ExpectAllVerbsEqual(batch, streamed,
@@ -175,7 +168,7 @@ TEST(StreamEquivalenceTest, SingleEngineRamMatchesBatchRebuild) {
   RunInterleaving(
       Snapshot(engine->corpus()),
       [&](ts::SeriesId id, double v) { return engine->AppendPoint(id, v); },
-      [&] { return engine->Compact(); }, *engine, "single-ram");
+      *engine, "single-ram");
   ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
@@ -189,7 +182,7 @@ TEST(StreamEquivalenceTest, SingleEngineDiskMatchesBatchRebuild) {
   RunInterleaving(
       Snapshot(engine->corpus()),
       [&](ts::SeriesId id, double v) { return engine->AppendPoint(id, v); },
-      [&] { return engine->Compact(); }, *engine, "single-disk");
+      *engine, "single-disk");
   ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
@@ -205,8 +198,7 @@ TEST(StreamEquivalenceTest, ShardedRamMatchesBatchRebuild) {
     RunInterleaving(
         Snapshot(engine->corpus()),
         [&](ts::SeriesId id, double v) { return sharded->AppendPoint(id, v); },
-        [&] { return sharded->Compact(); }, *sharded,
-        "sharded-" + std::to_string(shards));
+        *sharded, "sharded-" + std::to_string(shards));
     ASSERT_TRUE(sharded->ValidateInvariants().ok());
     EXPECT_GT(sharded->TotalAppendCount(), 0u);
   }
@@ -225,43 +217,7 @@ TEST(StreamEquivalenceTest, ShardedDiskMatchesBatchRebuild) {
     RunInterleaving(
         Snapshot(MakeCorpus()),
         [&](ts::SeriesId id, double v) { return sharded->AppendPoint(id, v); },
-        [&] { return sharded->Compact(); }, *sharded,
-        "sharded-disk-" + std::to_string(shards));
-    ASSERT_TRUE(sharded->ValidateInvariants().ok());
-  }
-}
-
-TEST(StreamEquivalenceTest, RepeatedAppendsToTombstonedDeltaRowsStayExact) {
-  // Every re-append to a delta-resident series tombstones its old vantage
-  // with the *pinned* row it was indexed under (DeltaIndex::Remove), so the
-  // tree keeps routing through rows the store no longer holds. Hammering a
-  // handful of series many times — with no compaction to wash the
-  // tombstones away — piles pinned-row tombstones on exactly the vantages
-  // queries must route through, at every shard count.
-  for (const size_t shards : {1u, 2u, 8u}) {
-    shard::ShardedEngine::Options options;
-    options.num_shards = shards;
-    options.engine = EngineOptions();
-    auto sharded = shard::ShardedEngine::Build(MakeCorpus(), options);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    std::vector<ts::TimeSeries> shadow = Snapshot(MakeCorpus());
-    const std::string what = "tombstone-" + std::to_string(shards);
-
-    Rng rng(kSeed + 7);
-    for (size_t step = 0; step < 48; ++step) {
-      // Only 4 distinct targets: each series is re-appended ~12 times, so
-      // its delta vantage is tombstoned and re-pinned again and again.
-      const auto id = static_cast<ts::SeriesId>(step % 4);
-      const double value = rng.Uniform(0.0, 40.0);
-      ASSERT_TRUE(sharded->AppendPoint(id, value).ok())
-          << what << " step " << step;
-      SlideShadow(&shadow[id], value);
-      if (step % 16 == 15) {
-        const core::S2Engine batch = BatchRebuild(shadow);
-        ExpectAllVerbsEqual(batch, *sharded,
-                            what + " step " + std::to_string(step));
-      }
-    }
+        *sharded, "sharded-disk-" + std::to_string(shards));
     ASSERT_TRUE(sharded->ValidateInvariants().ok());
   }
 }
@@ -381,7 +337,6 @@ service::S2Server::Options WalServerOptions(io::Env* wal_env) {
   service::S2Server::Options options;
   options.scheduler.threads = 1;
   options.cache_capacity = 0;
-  options.compaction_threshold = 0;  // Manual compaction only.
   options.wal_path = "stream.wal";
   options.wal_env = wal_env;
   return options;
@@ -401,7 +356,6 @@ TEST(StreamEquivalenceTest, WalReplayAfterCleanCrashLosesNoAcknowledgedAppend) {
       const double value = rng.Uniform(0.0, 40.0);
       ASSERT_TRUE((*server)->AppendPoint(id, value).ok());
       SlideShadow(&shadow[id], value);
-      if (step == 14) ASSERT_TRUE((*server)->Compact().ok());
     }
     // Crash: everything unsynced dies. With sync_every == 1 every
     // acknowledged append was synced, so nothing acknowledged is lost.

@@ -1,13 +1,10 @@
 // Serving-layer behavior of the streaming subsystem: the append verb's
-// locking/caching/metrics contract, WAL acknowledgement ordering (validate
-// before logging, log before applying), and threshold-triggered background
-// compaction on the maintenance thread.
+// locking/caching/metrics contract and WAL acknowledgement ordering
+// (validate before logging, log before applying).
 
 #include "service/s2_server.h"
 
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,8 +30,6 @@ ts::Corpus MakeCorpus() {
 
 core::S2Engine::Options EngineOptions() {
   core::S2Engine::Options options;
-  options.index.budget_c = 8;
-  options.index.leaf_size = 4;
   return options;
 }
 
@@ -55,17 +50,14 @@ QueryResponse Query(S2Server* server, RequestKind kind, ts::SeriesId id) {
 
 TEST(StreamServerTest, AppendUpdatesStateMetricsAndAnswers) {
   S2Server::Options options;
-  options.compaction_threshold = 0;
   std::unique_ptr<S2Server> server = MakeServer(options);
 
-  EXPECT_EQ(server->stream_info().delta_size, 0u);
   ASSERT_TRUE(server->AppendPoint(3, 17.5).ok());
   ASSERT_TRUE(server->AppendPoint(3, 18.5).ok());
   ASSERT_TRUE(server->AppendPoint(9, 2.0).ok());
 
   const auto info = server->stream_info();
   EXPECT_FALSE(info.wal_enabled);
-  EXPECT_EQ(info.delta_size, 2u);  // Two distinct series moved to the delta.
   EXPECT_EQ(info.append_count, 3u);
   EXPECT_EQ(server->metrics().counter("stream_appends")->value(), 3u);
   EXPECT_EQ(server->metrics().histogram("stream_append_latency")->count(), 3u);
@@ -73,16 +65,6 @@ TEST(StreamServerTest, AppendUpdatesStateMetricsAndAnswers) {
   // The slid series answers with its new tail.
   EXPECT_EQ(server->engine().corpus().at(3).values.back(), 18.5);
   EXPECT_TRUE(Query(server.get(), RequestKind::kSimilarTo, 3).status.ok());
-
-  // Manual compaction drains the delta and counts.
-  ASSERT_TRUE(server->Compact().ok());
-  EXPECT_EQ(server->stream_info().delta_size, 0u);
-  EXPECT_EQ(server->stream_info().compaction_count, 1u);
-  EXPECT_EQ(server->metrics().counter("stream_compacted_series")->value(), 2u);
-  EXPECT_EQ(server->metrics().histogram("stream_compaction_latency")->count(), 1u);
-  // An empty delta makes Compact a no-op, not another compaction.
-  ASSERT_TRUE(server->Compact().ok());
-  EXPECT_EQ(server->stream_info().compaction_count, 1u);
 }
 
 TEST(StreamServerTest, AppendValidatesBeforeTouchingAnything) {
@@ -93,13 +75,11 @@ TEST(StreamServerTest, AppendValidatesBeforeTouchingAnything) {
   EXPECT_EQ(server->AppendPoint(0, std::nan("")).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(server->stream_info().append_count, 0u);
-  EXPECT_EQ(server->stream_info().delta_size, 0u);
 }
 
 TEST(StreamServerTest, AppendInvalidatesExactlyTheAffectedCacheEntries) {
   S2Server::Options options;
   options.cache_capacity = 64;
-  options.compaction_threshold = 0;
   std::unique_ptr<S2Server> server = MakeServer(options);
 
   // Warm the cache: per-series entries for two series plus a cross-series
@@ -120,73 +100,11 @@ TEST(StreamServerTest, AppendInvalidatesExactlyTheAffectedCacheEntries) {
   EXPECT_FALSE(Query(server.get(), RequestKind::kSimilarTo, 9).cache_hit);
 }
 
-TEST(StreamServerTest, BackgroundCompactionFiresPastTheThreshold) {
-  S2Server::Options options;
-  options.compaction_threshold = 3;
-  std::unique_ptr<S2Server> server = MakeServer(options);
-
-  ASSERT_TRUE(server->AppendPoint(1, 5.0).ok());
-  ASSERT_TRUE(server->AppendPoint(2, 5.0).ok());
-  EXPECT_EQ(server->stream_info().compaction_count, 0u);  // Below threshold.
-  ASSERT_TRUE(server->AppendPoint(3, 5.0).ok());
-
-  // The maintenance thread runs asynchronously; poll with a bounded wait.
-  bool compacted = false;
-  for (int i = 0; i < 200 && !compacted; ++i) {
-    const auto info = server->stream_info();
-    compacted = info.compaction_count >= 1 && info.delta_size == 0;
-    if (!compacted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(compacted) << "background compaction never drained the delta";
-  EXPECT_EQ(server->metrics().counter("stream_compactions")->value(), 1u);
-}
-
-TEST(StreamServerTest, BackgroundCompactionNeverStrandsDeltaAboveThreshold) {
-  // Regression: appends racing an in-flight background compaction used to be
-  // able to push the delta back over the threshold *after* Compact() drained
-  // it but *before* the inflight flag cleared — the schedule check saw the
-  // flag, skipped, and no later append ever re-triggered (the delta was
-  // already over threshold, appends to delta-resident series don't grow it).
-  // The maintenance task now re-checks the delta size under the writer lock
-  // before retiring, so the delta must always settle below the threshold.
-  S2Server::Options options;
-  options.compaction_threshold = 4;
-  std::unique_ptr<S2Server> server = MakeServer(options);
-
-  constexpr size_t kThreads = 4;
-  constexpr size_t kAppendsPerThread = 24;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&server, t] {
-      for (size_t i = 0; i < kAppendsPerThread; ++i) {
-        // Distinct series per append so the delta genuinely grows while a
-        // compaction is in flight.
-        const auto id =
-            static_cast<ts::SeriesId>((t * kAppendsPerThread + i) % kNumSeries);
-        ASSERT_TRUE(server->AppendPoint(id, 1.0 + static_cast<double>(i)).ok());
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-
-  bool settled = false;
-  for (int i = 0; i < 500 && !settled; ++i) {
-    settled = server->stream_info().delta_size < options.compaction_threshold;
-    if (!settled) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(settled) << "delta stranded at " << server->stream_info().delta_size
-                       << " >= threshold " << options.compaction_threshold
-                       << " with no compaction scheduled";
-  EXPECT_GE(server->metrics().counter("stream_compactions")->value(), 1u);
-}
-
 TEST(StreamServerTest, WalAcknowledgesBeforeApplyAndReplaysOnRestart) {
   io::MemEnv wal_env;
   S2Server::Options options;
   options.wal_path = "server.wal";
   options.wal_env = &wal_env;
-  options.compaction_threshold = 0;
 
   {
     std::unique_ptr<S2Server> server = MakeServer(options);
@@ -205,14 +123,11 @@ TEST(StreamServerTest, WalAcknowledgesBeforeApplyAndReplaysOnRestart) {
   EXPECT_EQ(info.replay_dropped_bytes, 0u);
   EXPECT_EQ(revived->metrics().counter("stream_replay_records")->value(), 2u);
   EXPECT_EQ(revived->engine().corpus().at(4).values.back(), 10.0);
-  // Replayed appends live in the delta tier until compaction.
-  EXPECT_EQ(info.delta_size, 1u);
 }
 
 TEST(StreamServerTest, ShardedServerRoutesAppendsToOwnerShards) {
   S2Server::Options options;
   options.shards = 3;
-  options.compaction_threshold = 0;
   std::unique_ptr<S2Server> server = MakeServer(options);
   ASSERT_EQ(server->sharded().num_shards(), 3u);
 
@@ -220,16 +135,12 @@ TEST(StreamServerTest, ShardedServerRoutesAppendsToOwnerShards) {
   ASSERT_TRUE(server->AppendPoint(1, 4.0).ok());
   ASSERT_TRUE(server->AppendPoint(2, 4.0).ok());
 
-  const auto info = server->stream_info();
-  EXPECT_EQ(info.append_count, 3u);
-  EXPECT_EQ(info.delta_size, 3u);
+  EXPECT_EQ(server->stream_info().append_count, 3u);
   // Round-robin placement: ids 0, 1, 2 land on three different shards, so
-  // each shard's delta holds exactly one series.
+  // each shard applied exactly one append.
   for (size_t s = 0; s < server->sharded().num_shards(); ++s) {
-    EXPECT_EQ(server->sharded().shard(s).delta_size(), 1u) << "shard " << s;
+    EXPECT_EQ(server->sharded().shard(s).append_count(), 1u) << "shard " << s;
   }
-  ASSERT_TRUE(server->Compact().ok());
-  EXPECT_EQ(server->stream_info().delta_size, 0u);
   ASSERT_TRUE(server->sharded().ValidateInvariants().ok());
 }
 
@@ -243,7 +154,6 @@ TEST(StreamServerTest, GracefulShutdownFlushesTheOpenSyncGroup) {
   S2Server::Options options;
   options.wal_path = "server.wal";
   options.wal_env = &wal_env;
-  options.compaction_threshold = 0;
   options.wal_sync_every = 8;
 
   {

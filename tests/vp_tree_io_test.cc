@@ -77,57 +77,6 @@ TEST(VpTreeIoTest, SaveLoadRoundTripGivesIdenticalSearches) {
   std::remove(path.c_str());
 }
 
-TEST(VpTreeIoTest, TombstonesSurviveRoundTrip) {
-  Fixture fx = MakeFixture(100, 52);
-  VpTreeIndex::Options options;
-  options.budget_c = 8;
-  options.leaf_size = 4;
-  auto built = VpTreeIndex::Build(fx.rows, options);
-  ASSERT_TRUE(built.ok());
-  for (ts::SeriesId id = 0; id < 30; ++id) {
-    ASSERT_TRUE(built->Remove(id).ok());
-  }
-  const size_t tombstones = built->num_tombstones();
-  ASSERT_GT(tombstones, 0u);
-
-  const std::string path = TempPath("s2_vptree_tombstones.bin");
-  ASSERT_TRUE(built->Save(path).ok());
-  auto loaded = VpTreeIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_tombstones(), tombstones);
-  EXPECT_EQ(loaded->size(), 70u);
-  // Removed ids never reappear.
-  for (const auto& query : fx.queries) {
-    auto got = loaded->Search(query, 5, fx.source.get(), nullptr);
-    ASSERT_TRUE(got.ok());
-    for (const auto& n : *got) EXPECT_GE(n.id, 30u);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(VpTreeIoTest, LoadedIndexSupportsDynamicOps) {
-  Fixture fx = MakeFixture(120, 53);
-  std::vector<std::vector<double>> initial(fx.rows.begin(), fx.rows.begin() + 100);
-  VpTreeIndex::Options options;
-  options.budget_c = 8;
-  auto built = VpTreeIndex::Build(initial, options);
-  ASSERT_TRUE(built.ok());
-
-  const std::string path = TempPath("s2_vptree_dynamic.bin");
-  ASSERT_TRUE(built->Save(path).ok());
-  auto loaded = VpTreeIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-
-  for (ts::SeriesId id = 100; id < 120; ++id) {
-    ASSERT_TRUE(loaded->Insert(id, fx.rows[id], fx.source.get()).ok()) << id;
-  }
-  EXPECT_EQ(loaded->size(), 120u);
-  auto got = loaded->Search(fx.rows[110], 1, fx.source.get(), nullptr);
-  ASSERT_TRUE(got.ok());
-  EXPECT_NEAR((*got)[0].distance, 0.0, 1e-9);
-  std::remove(path.c_str());
-}
-
 TEST(VpTreeIoTest, CorruptFilesRejected) {
   EXPECT_EQ(VpTreeIndex::Load("/no/such/index.bin").status().code(),
             StatusCode::kNotFound);

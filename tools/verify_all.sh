@@ -32,9 +32,9 @@
 #
 # The `stream` profile is the streaming-ingestion gate: it builds under
 # AddressSanitizer and runs the stream-labelled tests (WAL round-trip and
-# torn-tail handling, delta-tier equivalence including the WAL crash-point
-# sweep in stream_equivalence_test.cc) plus one short bench_stream pass that
-# checks the delta-tier query-cost bar.
+# torn-tail handling, streamed-vs-batch equivalence including the WAL
+# crash-point sweep in stream_equivalence_test.cc) plus one short
+# bench_stream pass pricing the append path.
 #
 # The `monitor` profile is the standing-query gate: it builds under
 # ThreadSanitizer (the alert queue's lock-free polls race the append path's
@@ -103,6 +103,7 @@ if [ "${1:-}" = "faults" ]; then
   ctest --test-dir "${build_dir}" -L resilience --output-on-failure -j "${jobs}" \
     || { echo "FAIL [faults]: resilience tests" >&2; exit 1; }
   "${build_dir}/bench/bench_faults" --series 128 --days 128 --requests 120 \
+    --json "${build_dir}/BENCH_faults.json" \
     || { echo "FAIL [faults]: bench_faults" >&2; exit 1; }
   echo "verify_all.sh: faults profile green."
   exit 0
@@ -123,7 +124,7 @@ if [ "${1:-}" = "sharding" ]; then
   "${build_dir}/tests/thread_pool_test" > /dev/null \
     || { echo "FAIL [sharding]: thread_pool_test" >&2; exit 1; }
   "${build_dir}/bench/bench_shard" --series 256 --days 128 --requests 40 \
-    --shards-max 4 \
+    --shards-max 4 --json "${build_dir}/BENCH_shard.json" \
     || { echo "FAIL [sharding]: bench_shard" >&2; exit 1; }
   echo "verify_all.sh: sharding profile green."
   exit 0
@@ -142,7 +143,7 @@ if [ "${1:-}" = "stream" ]; then
   ctest --test-dir "${build_dir}" -L stream --output-on-failure -j "${jobs}" \
     || { echo "FAIL [stream]: stream tests" >&2; exit 1; }
   "${build_dir}/bench/bench_stream" --series 256 --days 128 --appends 600 --repeats 1 \
-    --requests 60 --delta 32 \
+    --json "${build_dir}/BENCH_stream.json" \
     || { echo "FAIL [stream]: bench_stream" >&2; exit 1; }
   echo "verify_all.sh: stream profile green."
   exit 0
