@@ -1,9 +1,11 @@
 // Section 8 future work, realized: exact k-NN under dynamic time warping.
 // The library search (dtw::DtwKnnSearch) seeds its radius with the exact
 // Euclidean k-th distance (DTW <= ED), filters with LB_Keogh and runs the
-// early-abandoning band-only DP on the rest. This bench prices it against
-// a plain banded-DTW scan and measures the paper's own proposal — the
-// compressed representations' linear-cost upper bounds — as a seed.
+// early-abandoning band DP on the rest, several candidates at once in the
+// SIMD lanes of simd::DtwLanes. This bench prices it against a plain
+// banded-DTW scan (one scalar DP per row) and measures the paper's own
+// proposal — the compressed representations' linear-cost upper bounds — as
+// a seed.
 //
 //   ./build/bench/bench_dtw [--db 2048] [--days 512] [--queries 20]
 //                           [--repeats 5] [--s2bench-db 16384]
@@ -16,7 +18,8 @@
 //     computed here) and of the library search: median [p25, p75] over
 //     `--repeats` passes over the queries. The bench fails unless both
 //     return the same k distances, bit for bit;
-//  2. the library's work per query: DPs run, LB_Keogh bounds, DP skip share;
+//  2. the library's work per query: DPs run, lane-DP steps, lane occupancy
+//     (DP rows / (steps x lanes)), LB_Keogh bounds, DP skip share;
 //  3. per query, the k-th compressed BestMinError upper bound
 //     (repr::ComputeBounds over best-k-error features, budget 16), the k-th
 //     Euclidean distance (the library's seed) and the true k-th DTW.
@@ -159,6 +162,8 @@ int main(int argc, char** argv) {
         }
         if (r == 0) {
           totals.dtw_computed += stats.dtw_computed;
+          totals.dp_steps += stats.dp_steps;
+          totals.dp_rows += stats.dp_rows;
           totals.lb_keogh_computed += stats.lb_keogh_computed;
           totals.lb_keogh_skips += stats.lb_keogh_skips;
         }
@@ -168,6 +173,13 @@ int main(int argc, char** argv) {
     const bench::Spread scan = bench::Quartiles(scan_ms);
     const bench::Spread searched = bench::Quartiles(search_ms);
     const double dtw_per_query = static_cast<double>(totals.dtw_computed) / q_count;
+    const double steps_per_query = static_cast<double>(totals.dp_steps) / q_count;
+    const double occupancy =
+        totals.dp_steps == 0
+            ? 0.0
+            : static_cast<double>(totals.dp_rows) /
+                  (static_cast<double>(totals.dp_steps) *
+                   static_cast<double>(simd::DtwLanes::kLanes));
     const double lbk_per_query =
         static_cast<double>(totals.lb_keogh_computed) / q_count;
     const double skip = 1.0 - dtw_per_query / static_cast<double>(rows.size());
@@ -178,9 +190,11 @@ int main(int argc, char** argv) {
     std::printf("  %-22s %10.2f %10.2f %10.2f   (%.1fx faster)\n",
                 "library search", searched.median, searched.p25, searched.p75,
                 scan.median / searched.median);
-    std::printf("  work per query: %.1f DPs, %.1f LB_Keogh, DP skipped for "
+    std::printf("  work per query: %.1f DPs in %.0f steps of %zu lanes "
+                "(%.1f%% of lane-rows busy), %.1f LB_Keogh, DP skipped for "
                 "%.1f%% of rows\n",
-                dtw_per_query, lbk_per_query, 100.0 * skip);
+                dtw_per_query, steps_per_query, simd::DtwLanes::kLanes,
+                100.0 * occupancy, lbk_per_query, 100.0 * skip);
 
     // 3. The seeds, per query: k-th compressed upper bound, k-th ED, k-th DTW.
     std::vector<repr::CompressedSpectrum> features;
@@ -239,6 +253,8 @@ int main(int argc, char** argv) {
             .Add("scan_thread_cpu_ms", bench::SpreadJson(scan))
             .Add("search_thread_cpu_ms", bench::SpreadJson(searched))
             .Add("dtw_per_query", dtw_per_query)
+            .Add("dp_steps_per_query", steps_per_query)
+            .Add("lane_occupancy", occupancy)
             .Add("lb_keogh_per_query", lbk_per_query)
             .Add("dp_skip_ratio", skip)
             .Add("compressed_ub_over_kth_dtw", bench::SpreadJson(ub_ratio))
@@ -259,6 +275,7 @@ int main(int argc, char** argv) {
                            .Add("hardware_threads",
                                 static_cast<uint64_t>(
                                     std::thread::hardware_concurrency())))
+          .Add("dtw_lanes", static_cast<uint64_t>(simd::DtwLanes::kLanes))
           .Add("queries", static_cast<uint64_t>(n_queries))
           .Add("repeats", static_cast<uint64_t>(repeats))
           .Add("configs", std::move(json_configs)));

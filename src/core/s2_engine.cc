@@ -436,17 +436,8 @@ Result<std::vector<index::Neighbor>> S2Engine::SimilarToStandardized(
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToDtwStandardized(
     const std::vector<double>& z, size_t k, ts::SeriesId exclude,
     dtw::DtwKnnSearch::SearchStats* stats, index::SharedRadius* shared) const {
-  const bool drop_self = exclude != ts::kInvalidSeriesId;
-  S2_ASSIGN_OR_RETURN(std::vector<index::Neighbor> neighbors,
-                      dtw::DtwKnnSearch({options_.dtw_window})
-                          .Search(z, drop_self ? k + 1 : k, standardized_,
-                                  retry_source_.get(), stats, shared));
-  if (drop_self) {
-    std::erase_if(neighbors,
-                  [exclude](const index::Neighbor& n) { return n.id == exclude; });
-    if (neighbors.size() > k) neighbors.resize(k);
-  }
-  return neighbors;
+  return dtw::DtwKnnSearch({options_.dtw_window})
+      .Search(z, k, standardized_, retry_source_.get(), stats, shared, exclude);
 }
 
 Result<std::vector<index::Neighbor>> S2Engine::SimilarToStandardizedExact(

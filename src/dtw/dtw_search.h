@@ -25,7 +25,13 @@ namespace s2::dtw {
 ///      bounds the paper proposes for this step, and cheaper to get.
 ///   2. Per candidate, in id order: LB_Keogh with early abandoning — skip
 ///      the row when it exceeds the radius.
-///   3. Otherwise run the early-abandoning band-only DTW dynamic program.
+///   3. Otherwise admit the row into a lane of one early-abandoning band DP
+///      (simd::DtwLanes), which runs several candidates side by side, each
+///      on its own DP row. A candidate takes the radius current at its
+///      admission, min(local k-th, shared radius), as its abandon limit and
+///      returns exactly what dtw::DtwDistanceEarlyAbandonSq would at that
+///      limit. When a lane's candidate completes or abandons, its result is
+///      offered and the lane takes the next admitted candidate at once.
 ///
 /// Every skip in (2) avoids an O(n*w) DP. DTW is not a metric, so the
 /// VP-tree's triangle pruning does not apply — this is a filtered linear
@@ -42,7 +48,12 @@ class DtwKnnSearch {
     size_t upper_bounds_computed = 0;
     size_t lb_keogh_computed = 0;
     size_t lb_keogh_skips = 0;  ///< Candidates pruned without running the DP.
-    size_t dtw_computed = 0;
+    size_t dtw_computed = 0;    ///< Candidates admitted into the DP.
+    /// Steps of the lane DP, each one DP row of every lane, and the DP rows
+    /// the admitted candidates took: dp_rows / (dp_steps *
+    /// simd::DtwLanes::kLanes) is the share of lane-rows kept busy.
+    size_t dp_steps = 0;
+    size_t dp_rows = 0;
     /// Skips that only succeeded because another partition's published
     /// radius was tighter than this search's local radius (cross-shard
     /// prune hits under scatter-gather).
@@ -52,7 +63,9 @@ class DtwKnnSearch {
   explicit DtwKnnSearch(Options options) : options_(options) {}
 
   /// Exact k nearest neighbors of `query` under windowed DTW among `rows`
-  /// (one partition's standardized rows, ids = row indices).
+  /// (one partition's standardized rows, ids = row indices), leaving out
+  /// row `exclude` (`ts::kInvalidSeriesId` for none) from the seed and the
+  /// cascade alike.
   ///
   /// The seed and, when `source` is null, every candidate are read from
   /// `rows` in place. A non-null `source` must hold the same rows: the
@@ -69,7 +82,8 @@ class DtwKnnSearch {
       const std::vector<double>& query, size_t k,
       const std::vector<std::vector<double>>& rows,
       storage::SequenceSource* source, SearchStats* stats,
-      index::SharedRadius* shared = nullptr) const;
+      index::SharedRadius* shared = nullptr,
+      ts::SeriesId exclude = ts::kInvalidSeriesId) const;
 
  private:
   Options options_;

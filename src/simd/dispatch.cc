@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "simd/kernels.h"
@@ -197,6 +200,47 @@ double LbKeoghSqAbandon(const double* lower, const double* upper,
 void Standardize(const double* x, size_t n, double mean, double stddev,
                  double* out) {
   ActiveTable().standardize(x, n, mean, stddev, out);
+}
+
+DtwLanes::DtwLanes(const double* query, size_t n, size_t window) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  State& s = state_;
+  s.n = n;
+  // The scalar DP's clipping: a band wider than n - 1 admits no further cell.
+  s.w = window == 0 ? n - 1 : std::min(window, n - 1);
+  s.padded.assign(n + 2 * s.w, kInf);
+  std::copy(query, query + n, s.padded.begin() + static_cast<ptrdiff_t>(s.w));
+  s.band.assign(2 * (2 * s.w + 2) * kLanes, kInf);
+  s.query.assign((4 * s.w + 2) * kLanes, kInf);
+  std::fill_n(s.limit, kLanes, kInf);
+}
+
+void DtwLanes::Admit(size_t lane, const double* row, double limit_sq) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  State& s = state_;
+  const size_t slots = 2 * s.w + 2;
+  s.row[lane] = row;
+  s.start[lane] = s.clock;
+  s.limit[lane] = limit_sq;
+  // The band row the first step reads: the virtual cell (-1, -1) = 0 seeds
+  // (0, 0); every other cell lies outside the matrix.
+  double* prev = s.band.data() + s.parity * slots * kLanes;
+  for (size_t t = 0; t <= 2 * s.w; ++t) prev[t * kLanes + lane] = kInf;
+  prev[s.w * kLanes + lane] = 0.0;
+  // Row 0's band: padded[0 .. 2w] in slots clock .. clock + 2w.
+  size_t p = s.slot;
+  for (size_t t = 0; t <= 2 * s.w; ++t) {
+    s.query[p * kLanes + lane] = s.padded[t];
+    if (p < 2 * s.w) s.query[(p + slots) * kLanes + lane] = s.padded[t];
+    if (++p == slots) p = 0;
+  }
+  s.value[(s.clock & 1) * kLanes + lane] = row[0];
+}
+
+uint32_t DtwLanes::Run() { return Run(ActiveTable()); }
+
+uint32_t DtwLanes::Run(const KernelTable& table) {
+  return table.dtw_lanes_run(&state_);
 }
 
 }  // namespace s2::simd

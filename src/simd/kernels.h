@@ -2,6 +2,7 @@
 #define S2_SIMD_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/simd.h"
 
@@ -26,6 +27,7 @@ struct KernelTable {
                                 double limit_sq);
   void (*standardize)(const double* x, size_t n, double mean, double stddev,
                       double* out);
+  uint32_t (*dtw_lanes_run)(DtwLanes::State* state);
 };
 
 /// Table for one backend, or nullptr when it is not compiled in or the CPU

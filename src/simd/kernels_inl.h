@@ -22,7 +22,10 @@
 /// regenerated once when this blocked order replaced the old sequential
 /// summation; from then on every backend must reproduce them exactly.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "simd/kernels.h"
 #include "simd/vec.h"
@@ -177,6 +180,94 @@ void StandardizeImpl(const double* x, size_t n, double mean, double stddev,
   for (; j < n; ++j) out[j] = (x[j] - mean) / stddev;
 }
 
+// The lane DP (DtwLanes in simd.h). Every step runs one row of each lane's
+// band DP over all 2w + 1 cells, in t order, each cell exactly the scalar
+// DP's `std::min(std::min(up, up_left), left) + cost`. std::min(x, y) is
+// `y < x ? y : x`, which is B::Min(y, x), so every min keeps the scalar
+// DP's operand order and agrees with it on NaN too. Cells off the matrix
+// read +inf from the query ring and come out +inf (or NaN from an infinite
+// row value); either way they only ever reach the second operand of a min
+// (the up-left or left of a first in-band cell, or the row minimum), where
+// +inf and NaN both leave the first operand — exactly what the scalar DP's
+// never-written +inf cells do. A free lane computes on stale cells and its
+// tests never fire.
+template <class B>
+uint32_t DtwLanesRunImpl(DtwLanes::State* s) {
+  using Vec = typename B::Vec;
+  constexpr size_t kL = DtwLanes::kLanes;
+  constexpr size_t kVecs = kL / 4;
+  static_assert(kL % 4 == 0 && kL <= 32, "lanes come in vectors of four");
+  if (std::all_of(s->row, s->row + kL, [](const double* r) { return r == nullptr; })) {
+    return 0;
+  }
+  const size_t n = s->n;
+  const size_t w2 = 2 * s->w;
+  const size_t slots = w2 + 2;
+  const Vec inf = B::Broadcast(std::numeric_limits<double>::infinity());
+  for (;;) {
+    // Feed the next step: query slot clock + 2w + 1 and the next row value
+    // of every lane that has a next row.
+    size_t feed = s->slot + w2 + 1;
+    if (feed >= slots) feed -= slots;
+    double* next_value = s->value + ((s->clock + 1) & 1) * kL;
+    for (size_t l = 0; l < kL; ++l) {
+      if (s->row[l] == nullptr) continue;
+      const size_t next = s->clock + 1 - s->start[l];
+      if (next == n) continue;
+      const double q = s->padded[next + w2];
+      s->query[feed * kL + l] = q;
+      if (feed < w2) s->query[(feed + slots) * kL + l] = q;
+      next_value[l] = s->row[l][next];
+    }
+
+    const double* prev = s->band.data() + s->parity * slots * kL;
+    double* curr = s->band.data() + (s->parity ^ 1) * slots * kL;
+    const double* query = s->query.data() + s->slot * kL;
+    const double* value = s->value + (s->clock & 1) * kL;
+    Vec ai[kVecs];
+    Vec left[kVecs];
+    Vec row_min[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      ai[v] = B::Load(value + 4 * v);
+      left[v] = inf;
+      row_min[v] = inf;
+    }
+    for (size_t t = 0; t <= w2; ++t) {
+      const size_t at = t * kL;
+      for (size_t v = 0; v < kVecs; ++v) {
+        const size_t c = at + 4 * v;
+        const Vec d = B::Sub(ai[v], B::Load(query + c));
+        const Vec up = B::Min(B::Load(prev + c), B::Load(prev + c + kL));
+        left[v] = B::Add(B::Min(left[v], up), B::Mul(d, d));
+        B::Store(curr + c, left[v]);
+        row_min[v] = B::Min(left[v], row_min[v]);
+      }
+    }
+    s->parity ^= 1;
+    ++s->clock;
+    if (++s->slot == slots) s->slot = 0;
+
+    alignas(64) double mins[kL];
+    for (size_t v = 0; v < kVecs; ++v) B::Store(mins + 4 * v, row_min[v]);
+    uint32_t done = 0;
+    for (size_t l = 0; l < kL; ++l) {
+      // Abandon is tested first, as in the scalar DP's last row. A free
+      // lane's limit is +inf.
+      if (mins[l] > s->limit[l]) {
+        s->result[l] = mins[l];
+      } else if (s->row[l] != nullptr && s->clock - s->start[l] == n) {
+        s->result[l] = curr[s->w * kL + l];
+      } else {
+        continue;
+      }
+      s->row[l] = nullptr;
+      s->limit[l] = std::numeric_limits<double>::infinity();
+      done |= uint32_t{1} << l;
+    }
+    if (done != 0) return done;
+  }
+}
+
 template <class B>
 KernelTable MakeTable(Isa isa, const char* name) {
   KernelTable t;
@@ -189,6 +280,7 @@ KernelTable MakeTable(Isa isa, const char* name) {
   t.sum_sq_diff_abandon = &SumSqDiffAbandonImpl<B>;
   t.lb_keogh_sq_abandon = &LbKeoghSqAbandonImpl<B>;
   t.standardize = &StandardizeImpl<B>;
+  t.dtw_lanes_run = &DtwLanesRunImpl<B>;
   return t;
 }
 

@@ -2,6 +2,7 @@
 #define S2_SIMD_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -92,6 +93,81 @@ double LbKeoghSqAbandon(const double* lower, const double* upper,
 /// out[i] = (x[i] - mean) / stddev. Caller handles stddev == 0.
 void Standardize(const double* x, size_t n, double mean, double stddev,
                  double* out);
+
+struct KernelTable;
+
+/// The band DP of dtw::DtwDistanceEarlyAbandonSq for several candidates at
+/// once, one per SIMD lane, against one query (DESIGN.md §12.1).
+///
+/// Each lane holds its own candidate, its own two band rows, its own abandon
+/// limit and its own abandon test. One clock advances every busy lane by one
+/// DP row per step, so a lane admitted at clock s sits on row clock - s. For
+/// every candidate a lane returns exactly, bit for bit on every backend, what
+/// DtwDistanceEarlyAbandonSq(row, query, window, limit_sq) returns: the
+/// complete squared distance, or the minimum of the row that abandoned.
+///
+/// A step costs one pass over the band however many lanes are busy, so a
+/// caller refills a lane as soon as Run reports it finished.
+class DtwLanes {
+ public:
+  /// Two logical vectors of four: two independent min-add chains per cell.
+  static constexpr size_t kLanes = 8;
+
+  /// What a backend's kernel reads and advances (kernels_inl.h). Slot p of
+  /// a ring holds kLanes values, lane l's at [p * kLanes + l].
+  struct State {
+    size_t n = 0;      // Rows and columns of every DP.
+    size_t w = 0;      // Band half-width, clipped to n - 1.
+    size_t clock = 0;
+    size_t slot = 0;   // clock % (2w + 2): the query slot of band cell 0.
+    // w slots of +inf, the query, w slots of +inf: lane l on row i reads
+    // padded[i + t] in band cell t, +inf off the matrix.
+    std::vector<double> padded;
+    // Two band rows of 2w + 2 cells; cell 2w + 1 is a +inf sentinel that no
+    // step writes. `parity` names the row the next step reads.
+    std::vector<double> band;
+    size_t parity = 0;
+    // A ring of 2w + 2 slots: at clock c, slots c .. c + 2w hold each busy
+    // lane's padded query for band cells 0 .. 2w, so every lane's cell t
+    // reads slot c + t. A step fills slot c + 2w + 1 for the next one.
+    // Slots [2w + 2, 4w + 2) mirror [0, 2w): a step reads its 2w + 1
+    // slots in one run.
+    std::vector<double> query;
+    // Each lane's row value at clock c in [(c & 1) * kLanes + l], filled one
+    // step ahead.
+    double value[2 * kLanes] = {};
+    const double* row[kLanes] = {};  // nullptr: the lane is free.
+    size_t start[kLanes] = {};       // Clock at admission.
+    double limit[kLanes];            // +inf while free.
+    double result[kLanes] = {};
+  };
+
+  /// Free lanes for DPs against `query[0..n)` (copied), n > 0, with
+  /// Sakoe-Chiba half-width `window` (0 = unconstrained).
+  DtwLanes(const double* query, size_t n, size_t window);
+
+  /// Starts candidate `row[0..n)` in free lane `lane` at the current clock,
+  /// abandoning once a whole DP row exceeds `limit_sq`. The lane reads
+  /// `row` as it goes: it must stay valid until the lane finishes.
+  void Admit(size_t lane, const double* row, double limit_sq);
+
+  /// Advances every busy lane one DP row per step until at least one
+  /// finishes, and returns the finished lanes as a bit mask (lane l is bit
+  /// l), now free, their values in result(). Returns 0 when no lane is busy.
+  /// The no-argument form runs the active backend.
+  uint32_t Run();
+  uint32_t Run(const KernelTable& table);
+
+  /// The value of the lane's last finished candidate.
+  double result(size_t lane) const { return state_.result[lane]; }
+  bool busy(size_t lane) const { return state_.row[lane] != nullptr; }
+  /// Steps run so far: the clock.
+  size_t steps() const { return state_.clock; }
+
+ private:
+  State state_;
+
+};
 
 /// Best-effort read prefetch hint; no-op where unsupported.
 inline void PrefetchRead(const void* p) {

@@ -15,14 +15,17 @@
 ///     static Vec Sub(Vec a, Vec b);
 ///     static Vec Mul(Vec a, Vec b);
 ///     static Vec Div(Vec a, Vec b);
+///     static Vec Min(Vec a, Vec b);          // lane: a<b ? a : b
 ///     static Vec GtZeroize(Vec x, Vec y, Vec v);  // lane: x>y ? v : +0.0
 ///     static double Reduce(Vec v);           // (l0+l2)+(l1+l3), exactly
 ///   };
 ///
 /// Lane-wise +-*/ are IEEE-754 deterministic, GtZeroize is a bitwise
 /// mask-and (comparisons with NaN are false, so NaN lanes zeroize — same
-/// as the scalar ternary), and every Reduce implements the same tree, so
-/// any two backends are bit-interchangeable. Only the ISA blocks that the
+/// as the scalar ternary), Min is MINPD's operand rule (the second operand
+/// wins a tie, a signed-zero pair or any NaN; NEON's own vminq would return
+/// the NaN, so NEON compare-selects), and every Reduce implements the same
+/// tree, so any two backends are bit-interchangeable. Only the ISA blocks that the
 /// current translation unit is compiled for are defined; kernels_scalar.cc
 /// sees just VecScalar while kernels_avx2.cc (built with -mavx2) also sees
 /// VecAvx2.
@@ -68,6 +71,10 @@ struct VecScalar {
   static Vec Div(Vec a, Vec b) {
     return {a.l0 / b.l0, a.l1 / b.l1, a.l2 / b.l2, a.l3 / b.l3};
   }
+  static Vec Min(Vec a, Vec b) {
+    return {a.l0 < b.l0 ? a.l0 : b.l0, a.l1 < b.l1 ? a.l1 : b.l1,
+            a.l2 < b.l2 ? a.l2 : b.l2, a.l3 < b.l3 ? a.l3 : b.l3};
+  }
   static Vec GtZeroize(Vec x, Vec y, Vec v) {
     return {x.l0 > y.l0 ? v.l0 : 0.0, x.l1 > y.l1 ? v.l1 : 0.0,
             x.l2 > y.l2 ? v.l2 : 0.0, x.l3 > y.l3 ? v.l3 : 0.0};
@@ -102,6 +109,9 @@ struct VecSse2 {
   static Vec Div(Vec a, Vec b) {
     return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
   }
+  static Vec Min(Vec a, Vec b) {
+    return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
+  }
   static Vec GtZeroize(Vec x, Vec y, Vec v) {
     return {_mm_and_pd(_mm_cmpgt_pd(x.lo, y.lo), v.lo),
             _mm_and_pd(_mm_cmpgt_pd(x.hi, y.hi), v.hi)};
@@ -126,6 +136,7 @@ struct VecAvx2 {
   static Vec Sub(Vec a, Vec b) { return _mm256_sub_pd(a, b); }
   static Vec Mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
   static Vec Div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
+  static Vec Min(Vec a, Vec b) { return _mm256_min_pd(a, b); }
   static Vec GtZeroize(Vec x, Vec y, Vec v) {
     return _mm256_and_pd(_mm256_cmp_pd(x, y, _CMP_GT_OQ), v);
   }
@@ -163,6 +174,10 @@ struct VecNeon {
   }
   static Vec Div(Vec a, Vec b) {
     return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
+  }
+  static Vec Min(Vec a, Vec b) {
+    return {vbslq_f64(vcltq_f64(a.lo, b.lo), a.lo, b.lo),
+            vbslq_f64(vcltq_f64(a.hi, b.hi), a.hi, b.hi)};
   }
   static Vec GtZeroize(Vec x, Vec y, Vec v) {
     const uint64x2_t mlo = vcgtq_f64(x.lo, y.lo);

@@ -15,6 +15,7 @@
 #include "io/fault_env.h"
 #include "io/mem_env.h"
 #include "querylog/corpus_generator.h"
+#include "simd/simd.h"
 #include "storage/sequence_store.h"
 
 namespace s2::dtw {
@@ -285,11 +286,62 @@ TEST(DtwKnnSearchTest, PruningActuallySkipsDpComputations) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(stats.upper_bounds_computed, 300u);
     EXPECT_EQ(stats.lb_keogh_computed, stats.lb_keogh_skips + stats.dtw_computed);
+    // Every admitted DP runs between one row and all 256, and every step
+    // advances between one lane and all of them.
+    EXPECT_GE(stats.dp_rows, stats.dtw_computed);
+    EXPECT_LE(stats.dp_rows, stats.dtw_computed * 256);
+    EXPECT_LE(stats.dp_rows, stats.dp_steps * simd::DtwLanes::kLanes);
+    EXPECT_GE(stats.dp_rows, stats.dp_steps);
     total_dtw += stats.dtw_computed;
   }
   // The cascade must skip the DP for a substantial fraction of candidates
   // (the exact rate depends on the workload; bench_dtw quantifies it).
   EXPECT_LT(total_dtw, 5u * 300u * 3 / 4);
+}
+
+TEST(DtwKnnSearchTest, ExcludedRowLeavesTheSeedAndTheCascade) {
+  // The query's own row has ED, LB_Keogh and DTW 0. Excluded, it is neither
+  // bounded nor run: the search equals one over the other rows alone, ids
+  // aside, and answers what searching k + 1 and dropping it answered. Its
+  // ED of exactly 0 made the (k+1)-th seed distance the k-th of the others,
+  // so the published radius keeps its bits too.
+  Fixture fx = MakeFixture(120, 128, 0, 31);
+  const size_t window = 8;
+  for (ts::SeriesId self : {0u, 37u, 119u}) {
+    std::vector<std::vector<double>> others = fx.rows;
+    others.erase(others.begin() + self);
+    for (size_t k : {1u, 5u}) {
+      const std::string where =
+          "self=" + std::to_string(self) + " k=" + std::to_string(k);
+      const std::vector<double>& query = fx.rows[self];
+      index::SharedRadius shared, shared_others, shared_k1;
+      DtwKnnSearch::SearchStats stats, stats_others;
+      auto got = DtwKnnSearch({window}).Search(query, k, fx.rows, nullptr,
+                                               &stats, &shared, self);
+      auto want = DtwKnnSearch({window}).Search(query, k, others, nullptr,
+                                                &stats_others, &shared_others);
+      auto k1 = DtwKnnSearch({window}).Search(query, k + 1, fx.rows, nullptr,
+                                              nullptr, &shared_k1);
+      ASSERT_TRUE(got.ok() && want.ok() && k1.ok()) << where;
+      EXPECT_EQ(stats.upper_bounds_computed, fx.rows.size() - 1) << where;
+      EXPECT_EQ(stats.lb_keogh_computed, fx.rows.size() - 1) << where;
+      EXPECT_EQ(stats.dtw_computed, stats_others.dtw_computed) << where;
+      EXPECT_EQ(shared.load(), shared_others.load()) << where;
+      EXPECT_EQ(shared.load(), shared_k1.load()) << where;
+      std::erase_if(*k1, [self](const index::Neighbor& nb) { return nb.id == self; });
+      k1->resize(std::min(k1->size(), k));
+      ASSERT_EQ(got->size(), want->size()) << where;
+      ASSERT_EQ(got->size(), k1->size()) << where;
+      for (size_t i = 0; i < got->size(); ++i) {
+        const index::Neighbor& g = (*got)[i];
+        EXPECT_NE(g.id, self) << where;
+        EXPECT_EQ(g.id, (*want)[i].id + ((*want)[i].id >= self ? 1 : 0)) << where;
+        EXPECT_EQ(g.distance, (*want)[i].distance) << where;
+        EXPECT_EQ(g.id, (*k1)[i].id) << where;
+        EXPECT_EQ(g.distance, (*k1)[i].distance) << where;
+      }
+    }
+  }
 }
 
 TEST(DtwKnnSearchTest, SelfQueryFindsSelf) {

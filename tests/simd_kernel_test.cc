@@ -105,6 +105,34 @@ Inputs MakeInputs(Rng& rng, size_t n, bool allow_inf) {
   return in;
 }
 
+// The lane DP of `table`: candidate `a` against query `b` in every lane,
+// admitted on successive steps, half the lanes under `limit_sq` and half
+// with no limit. Returns each lane's value.
+std::vector<double> DtwLaneValues(const KernelTable& table, const Inputs& in) {
+  const size_t n = in.a.size();
+  DtwLanes lanes(in.b.data(), n, n % 7);
+  std::vector<double> values(DtwLanes::kLanes, -1.0);
+  for (size_t l = 0; l < DtwLanes::kLanes; ++l) {
+    lanes.Admit(l, in.a.data(), l % 2 == 0 ? in.limit_sq : kInf);
+    // A one-step walker in the next lane staggers the admissions.
+    if (l + 1 < DtwLanes::kLanes) {
+      lanes.Admit(l + 1, in.b.data(), -1.0);
+      for (uint32_t done = 0; (done >> (l + 1) & 1) == 0;) {
+        done = lanes.Run(table);
+        for (size_t f = 0; f <= l; ++f) {
+          if (done >> f & 1) values[f] = lanes.result(f);
+        }
+      }
+    }
+  }
+  while (const uint32_t done = lanes.Run(table)) {
+    for (size_t f = 0; f < DtwLanes::kLanes; ++f) {
+      if (done >> f & 1) values[f] = lanes.result(f);
+    }
+  }
+  return values;
+}
+
 // Runs every kernel of `table` against the scalar reference on `in`,
 // failing with `tag` context on any bit mismatch.
 void CheckAllKernels(const KernelTable& scalar, const KernelTable& table,
@@ -128,6 +156,15 @@ void CheckAllKernels(const KernelTable& scalar, const KernelTable& table,
       table.lb_keogh_sq_abandon(in.lower.data(), in.upper.data(), a, n,
                                 in.limit_sq),
       tag + " lb_keogh_sq_abandon");
+
+  if (n > 0) {
+    const std::vector<double> lanes_ref = DtwLaneValues(scalar, in);
+    const std::vector<double> lanes_got = DtwLaneValues(table, in);
+    for (size_t l = 0; l < lanes_ref.size(); ++l) {
+      EXPECT_BITEQ(lanes_ref[l], lanes_got[l],
+                   tag + " dtw_lanes_run[" + std::to_string(l) + "]");
+    }
+  }
 
   std::vector<double> out_ref(n, -1.0);
   std::vector<double> out_got(n, -1.0);

@@ -66,9 +66,11 @@
 # harness in simd_kernel_test.cc, the band-DP and Euclidean-seed fuzzers of
 # the DTW search (dtw_test.cc, dtw_search_test.cc), the standardization
 # edge cases, and the dispatch-matrix re-runs of the golden/equivalence
-# suites — once with default dispatch and once with S2_SIMD=off, so both
-# sides of every backend-vs-scalar comparison are themselves exercised
-# under sanitizers. One small bench_dtw pass follows, which fails unless
+# suites — once with default dispatch, once with S2_SIMD=off and, on x86-64,
+# once with S2_SIMD=sse2, so both sides of every backend-vs-scalar
+# comparison are themselves exercised under sanitizers, and the DTW search
+# runs its lane DP through every x86 table, not only inside the
+# differential harness. One small bench_dtw pass follows, which fails unless
 # the DTW search returns the plain scan's distances bit for bit.
 # (tools/lint.sh discovers src/simd automatically via its `find src` walk.)
 #
@@ -220,7 +222,7 @@ fi
 if [ "${1:-}" = "kernels" ]; then
   jobs="${2:-$(nproc 2> /dev/null || echo 4)}"
   build_dir="${repo_root}/build-verify-kernels"
-  echo "==== [kernels] ASan+UBSan build + kernels-labelled tests, both dispatch modes ===="
+  echo "==== [kernels] ASan+UBSan build + kernels-labelled tests, every dispatch mode ===="
   cmake -S "${repo_root}" -B "${build_dir}" \
     -DCMAKE_BUILD_TYPE=Debug \
     -DS2_SANITIZE=address,undefined > "${build_dir}.configure.log" 2>&1 \
@@ -232,6 +234,12 @@ if [ "${1:-}" = "kernels" ]; then
   S2_SIMD=off ctest --test-dir "${build_dir}" -L kernels --output-on-failure \
     -j "${jobs}" \
     || { echo "FAIL [kernels]: kernels tests (S2_SIMD=off)" >&2; exit 1; }
+  case "$(uname -m)" in
+    x86_64|amd64)
+      S2_SIMD=sse2 ctest --test-dir "${build_dir}" -L kernels \
+        --output-on-failure -j "${jobs}" \
+        || { echo "FAIL [kernels]: kernels tests (S2_SIMD=sse2)" >&2; exit 1; } ;;
+  esac
   "${build_dir}/bench/bench_kernels" --reps 2000 \
     --json "${build_dir}/BENCH_kernels.json" \
     || { echo "FAIL [kernels]: bench_kernels" >&2; exit 1; }
